@@ -10,7 +10,6 @@ so the comparison is exact on support.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -61,14 +60,11 @@ def mutual_ci_residual(
     nw = math.prod(q.carrier(w).size for w in ordered_given)
     arr = q.array.reshape(sizes + [nw])
     k = len(sizes)
-    pw = arr.sum(axis=tuple(range(k)))
-    letters = string.ascii_lowercase[:k]
-    conds = []
+    recomposed = arr.sum(axis=tuple(range(k)))
     for i in range(k):
         others = tuple(j for j in range(k) if j != i)
-        conds.append(_conditionals(arr.sum(axis=others)))
-    subs = "z," + ",".join(f"{c}z" for c in letters) + "->" + letters + "z"
-    recomposed = np.einsum(subs, pw, *conds)
+        cond = _conditionals(arr.sum(axis=others))
+        recomposed = recomposed * np.expand_dims(cond, others)
     return float(np.abs(arr - recomposed).max())
 
 

@@ -11,26 +11,24 @@ transpositions generate the full permutation action.
 
 from __future__ import annotations
 
-import math
 import re
-import string
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .ci import ci_residual, mutual_ci_residual
-from .errors import BadWireNaming, DomainMismatch, ShapeMismatch, SizeLimit
+from .errors import BadWireNaming, DomainMismatch, ShapeMismatch
 from .kernels import (
     DEFAULT_ATOL,
+    MAX_ENTRIES,
     FinSet,
     JointState,
     Kernel,
     as_equal_residual,
+    contract,
     reindex,
 )
-
-MAX_ENTRIES = 1 << 20
 
 _SEQ_RE = re.compile(r"^(?P<prefix>.*)\[(?P<i>\d+)\]$")
 _GRID_RE = re.compile(r"^(?P<prefix>.*)\[(?P<i>\d+),(?P<j>\d+)\]$")
@@ -221,20 +219,14 @@ def build_definetti_joint(
         raise ShapeMismatch("f must map the latent carrier to a single factor")
     if n < 1:
         raise ShapeMismatch("n must be at least 1")
-    if n > 50:
-        raise SizeLimit("n too large to address tensor factors")
-    na, nx = q.cod[0].size, f.cod[0].size
-    total = nx**n * (na if expose_latent else 1)
-    if total > max_entries:
-        raise SizeLimit(f"joint state exceeds {max_entries} entries")
-    xs = string.ascii_lowercase[:n] if n <= 25 else string.ascii_letters[1 : n + 1]
-    a = "z" if n <= 25 else string.ascii_letters[0]
-    subs = (
-        f"{a}," + ",".join(f"{a}{x}" for x in xs)
-        + "->" + (a if expose_latent else "") + xs
+    xs = [f"{prefix}[{i}]" for i in range(1, n + 1)]
+    # None labels the latent, so no prefix or latent name can clash with it
+    arr = contract(
+        [(q.matrix[0], [None])] + [(f.matrix, [None, x]) for x in xs],
+        ([None] if expose_latent else []) + xs,
+        max_entries,
     )
-    arr = np.einsum(subs, q.matrix[0], *([f.matrix] * n), optimize=True)
-    wires = [(f"{prefix}[{i}]", f.cod[0]) for i in range(1, n + 1)]
+    wires = [(x, f.cod[0]) for x in xs]
     if expose_latent:
         wires = [(latent_name, q.cod[0])] + wires
     return JointState.from_array(arr, wires)
@@ -294,36 +286,17 @@ def build_ah_joint(
     f at each row tail, g at each column tail, and h at each entry, and
     sums over whatever is not exposed.
     """
-    m, n = spec.rows, spec.cols
-    nfac = 1 + m + n + m * n
-    if nfac > 52:
-        raise SizeLimit("too many tensor factors to address")
-    wires = ah_wires(spec, expose_latents)
-    total = math.prod(c.size for _, c in wires)
-    if total > max_entries:
-        raise SizeLimit(f"joint state exceeds {max_entries} entries")
-    letters = string.ascii_letters
-    a = letters[0]
-    bs = letters[1 : 1 + m]
-    cs = letters[1 + m : 1 + m + n]
-    ss = [
-        [letters[1 + m + n + (i * n + j)] for j in range(n)] for i in range(m)
+    rows, cols = range(1, spec.rows + 1), range(1, spec.cols + 1)
+    operands = [(spec.q.matrix[0], ["T"])]
+    operands += [(spec.f.matrix, ["T", f"R[{i}]"]) for i in rows]
+    operands += [(spec.g.matrix, ["T", f"C[{j}]"]) for j in cols]
+    operands += [
+        (spec.h.array, [f"R[{i}]", "T", f"C[{j}]", f"S[{i},{j}]"])
+        for i in rows
+        for j in cols
     ]
-    operands = [spec.q.matrix[0]]
-    subs = [a]
-    for i in range(m):
-        operands.append(spec.f.matrix)
-        subs.append(a + bs[i])
-    for j in range(n):
-        operands.append(spec.g.matrix)
-        subs.append(a + cs[j])
-    for i in range(m):
-        for j in range(n):
-            operands.append(spec.h.array)
-            subs.append(bs[i] + a + cs[j] + ss[i][j])
-    entry_letters = "".join(ss[i][j] for i in range(m) for j in range(n))
-    out = (a + bs + cs if expose_latents else "") + entry_letters
-    arr = np.einsum(",".join(subs) + "->" + out, *operands, optimize=True)
+    wires = ah_wires(spec, expose_latents)
+    arr = contract(operands, [w for w, _ in wires], max_entries)
     return JointState.from_array(arr, wires)
 
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import InitVar, dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainMismatch, ParamMismatch, ShapeMismatch, UnknownWire
+from .errors import DomainMismatch, ParamMismatch, ShapeMismatch, SizeLimit, UnknownWire
 
 DEFAULT_ATOL = 1e-9
+MAX_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -90,12 +91,15 @@ class Kernel:
             raise ShapeMismatch(
                 f"matrix shape {mat.shape} does not match interface {want}"
             )
-        if mat.min(initial=0.0) < -atol:
-            raise ShapeMismatch(f"negative entry {mat.min():g} in kernel matrix")
-        bad = np.abs(mat.sum(axis=1) - 1.0)
-        if bad.max(initial=0.0) > atol:
+        # written so that a NaN entry or tolerance fails both tests
+        lo = mat.min(initial=0.0)
+        if not lo >= -atol:
+            kind = "non-finite" if np.isnan(lo) else "negative"
+            raise ShapeMismatch(f"{kind} entry {lo:g} in kernel matrix")
+        bad = np.abs(mat.sum(axis=1) - 1.0).max(initial=0.0)
+        if not bad <= atol:
             raise ShapeMismatch(
-                f"row sums deviate from 1 by up to {bad.max():g} (atol={atol:g})"
+                f"row sums deviate from 1 by up to {bad:g} (atol={atol:g})"
             )
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -118,6 +122,34 @@ class Kernel:
     def array(self) -> np.ndarray:
         """The matrix reshaped with one axis per dom factor then cod factor."""
         return self.matrix.reshape(self.dom_shape + self.cod_shape)
+
+
+def contract(
+    operands: Iterable[tuple[np.ndarray, Sequence[Hashable]]],
+    out: Sequence[Hashable],
+    max_entries: int = MAX_ENTRIES,
+) -> np.ndarray:
+    """Sum of products of labelled arrays, keeping the ``out`` labels in order.
+
+    Each operand lists one label per axis, usually a wire name; axes with
+    the same label share one index, and labels missing from ``out`` are
+    summed out.  Raises SizeLimit before any allocation when there are
+    more labels than numpy can address (52) or the result would exceed
+    ``max_entries`` entries.
+    """
+    index: dict[Hashable, int] = {}
+    size: dict[Hashable, int] = {}
+    args: list = []
+    for arr, labels in operands:
+        for label, n in zip(labels, arr.shape):
+            index.setdefault(label, len(index))
+            size[label] = n
+        args += [arr, [index[label] for label in labels]]
+    if len(index) > 52:
+        raise SizeLimit(f"{len(index)} wires exceed the 52 a contraction can address")
+    if math.prod(size[label] for label in out) > max_entries:
+        raise SizeLimit(f"joint state exceeds {max_entries} entries")
+    return np.einsum(*args, [index[label] for label in out], optimize=True)
 
 
 def max_abs_diff(f: Kernel, g: Kernel) -> float:

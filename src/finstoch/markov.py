@@ -11,21 +11,23 @@ agree.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .ci import ci_residual
-from .errors import ShapeMismatch, SizeLimit, UnknownNode, UnknownWire, WireMismatch
+from .errors import ShapeMismatch, UnknownNode, UnknownWire, WireMismatch
 from .kernels import (
     DEFAULT_ATOL,
+    MAX_ENTRIES,
     FinSet,
     JointState,
     Kernel,
     conditional,
+    contract,
     marginalize,
+    max_abs_diff,
     reindex,
 )
 from .models import (
@@ -39,8 +41,6 @@ from .models import (
     topo_order,
     validate_timing,
 )
-
-MAX_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,26 +81,12 @@ def recompose(
     """
     ensure_valid(m)
     _check_assignment(m, asg)
-    if len(m.wires) > 52:
-        raise SizeLimit("more than 52 wires")
-    total = 1
-    for w in m.wires:
-        total *= asg.carriers[w].size
-        if total > max_entries:
-            raise SizeLimit(f"joint state exceeds {max_entries} entries")
-    letter = dict(zip(m.wires, string.ascii_letters))
-    current = np.ones(())
-    have = ""
+    current, have = np.ones(()), ()
     for b in topo_order(m):
-        arr = asg.kernels[b.name].array
-        in_l = "".join(letter[w] for w in b.in_wires)
-        out_l = "".join(letter[w] for w in b.out_wires)
-        current = np.einsum(
-            f"{have},{in_l}{out_l}->{have}{out_l}", current, arr
-        )
-        have += out_l
-    out_order = "".join(letter[w] for w in m.outputs)
-    current = np.einsum(f"{have}->{out_order}", current)
+        operands = [(current, have), (asg.kernels[b.name].array, b.in_wires + b.out_wires)]
+        have += b.out_wires
+        current = contract(operands, have, max_entries)
+    current = contract([(current, have)], m.outputs, max_entries)
     return JointState.from_array(
         current, [(w, asg.carriers[w]) for w in m.outputs]
     )
@@ -189,13 +175,16 @@ def factorize(
     return BoxAssignment(carriers, kernels)
 
 
+def recomposition_residual(p: JointState, m: CausalModel, asg: BoxAssignment) -> float:
+    """Largest entrywise deviation of the model run on asg from p."""
+    return max_abs_diff(reindex(recompose(m, asg), p.wire_names).kernel, p.kernel)
+
+
 def compatibility_residual(
     p: JointState, m: CausalModel, timing: TimingFunction | None = None
 ) -> float:
     """Recomposition error of the constructive factorization of p along m."""
-    asg = factorize(p, m, timing)
-    r = reindex(recompose(m, asg), p.wire_names)
-    return float(np.abs(r.kernel.matrix - p.kernel.matrix).max())
+    return recomposition_residual(p, m, factorize(p, m, timing))
 
 
 def check_compatible(

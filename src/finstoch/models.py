@@ -137,23 +137,8 @@ def validate_model(m: CausalModel) -> list[Violation]:
     for w in m.outputs:
         if w not in wire_set:
             out.append(Violation("unknown-wire", w, "output is not a declared wire"))
-    # Kahn peeling on the precedence relation; leftovers sit on a cycle
-    succ = _successors(m)
-    indeg = {b: 0 for b in succ}
-    for tails in succ.values():
-        for t in tails:
-            indeg[t] += 1
-    ready = deque(sorted(b for b, d in indeg.items() if d == 0))
-    seen = 0
-    while ready:
-        b = ready.popleft()
-        seen += 1
-        for t in sorted(succ[b]):
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                ready.append(t)
-    if seen < len(succ):
-        cyclic = sorted(b for b, d in indeg.items() if d > 0)
+    _, cyclic = _kahn(m)
+    if cyclic:
         out.append(
             Violation("acyclic", cyclic[0], f"boxes on a cycle: {cyclic}")
         )
@@ -166,8 +151,12 @@ def ensure_valid(m: CausalModel) -> None:
         raise FinstochError(f"invalid model: {violations[0]}")
 
 
-def topo_order(m: CausalModel) -> list[Box]:
-    """Boxes in a precedence-respecting order, lexicographic among ready ones."""
+def _kahn(m: CausalModel) -> tuple[list[str], list[str]]:
+    """Kahn peeling of the precedence relation, lexicographic among ready boxes.
+
+    Returns the peeled box names and, sorted, the boxes never peeled
+    because they sit on or behind a cycle.
+    """
     succ = _successors(m)
     indeg = {b: 0 for b in succ}
     for tails in succ.values():
@@ -179,11 +168,17 @@ def topo_order(m: CausalModel) -> list[Box]:
     while ready:
         b = heapq.heappop(ready)
         order.append(b)
-        for t in sorted(succ[b]):
+        for t in succ[b]:
             indeg[t] -= 1
             if indeg[t] == 0:
                 heapq.heappush(ready, t)
-    if len(order) < len(succ):
+    return order, sorted(b for b, d in indeg.items() if d > 0)
+
+
+def topo_order(m: CausalModel) -> list[Box]:
+    """Boxes in a precedence-respecting order, lexicographic among ready ones."""
+    order, cyclic = _kahn(m)
+    if cyclic:
         raise FinstochError("model has a cycle")
     return [m.box(n) for n in order]
 

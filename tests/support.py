@@ -274,3 +274,20 @@ def random_ahspec(rng, rows, cols=None, hi=3) -> AHSpec:
         rows=rows,
         cols=cols,
     )
+
+
+def one_element_ahspec(n: int) -> AHSpec:
+    """An n-by-n grid spec whose four carriers have one element each.
+
+    Its exposed joint has 1 + 2n + n*n wires but a single entry, so it
+    probes the wire cap apart from the entry cap.
+    """
+    a, b, c, x = (carrier(label, 1) for label in "ABCX")
+    return AHSpec(
+        q=Kernel.state([1.0], a),
+        f=Kernel((a,), (b,), [[1.0]]),
+        g=Kernel((a,), (c,), [[1.0]]),
+        h=Kernel((b, a, c), (x,), [[1.0]]),
+        rows=n,
+        cols=n,
+    )

@@ -119,6 +119,18 @@ def test_mutual_residual_matches_binary_residual_for_two_parts():
     assert r1 == r2
 
 
+def test_mutual_residual_takes_more_parts_than_there_are_letters():
+    # 29 one-wire parts; 27 of them are trivial, so the mutual residual
+    # is the binary one of the two dependent bits
+    rng = np.random.default_rng(39)
+    bit, one = carrier("bit", 2), carrier("one", 1)
+    wires = [("a", bit), ("b", bit)] + [(f"u{k}", one) for k in range(27)]
+    j = JointState.from_array(rng.dirichlet(np.ones(4)), wires)
+    r = mutual_ci_residual(j, [[w] for w, _ in wires])
+    assert r > 0
+    assert r == pytest.approx(ci_residual(j, ["a"], ["b"]), abs=1e-15)
+
+
 def test_mutual_ci_verdict_matches_oracle_on_latent_mixtures():
     rng = np.random.default_rng(37)
     for _ in range(10):

@@ -10,6 +10,8 @@ from finstoch import (
     Kernel,
     ahspec_to_json,
     assignment_from_json,
+    build_ah_joint,
+    expand_ah_model,
     kernel_to_json,
     make_model,
     model_to_json,
@@ -21,6 +23,7 @@ from finstoch import (
 from finstoch.cli import main
 from support import (
     carrier,
+    one_element_ahspec,
     random_ahspec,
     random_assignment,
     random_kernel,
@@ -141,8 +144,8 @@ def test_check_markov_single_property_flags(chain_files, capsys):
         main(["check-markov", state, model, "--local", "--ordered"])
 
 
-def test_check_markov_detects_incompatible_states(chain_files, tmp_path, capsys):
-    model, _ = chain_files
+def _coupled_state(tmp_path):
+    """A state on the chain's wires in which Z copies X past Y."""
     arr = np.zeros((2, 2, 2))
     for x in range(2):
         for y in range(2):
@@ -153,10 +156,41 @@ def test_check_markov_detects_incompatible_states(chain_files, tmp_path, capsys)
         "rows": [arr.ravel().tolist()],
         "wire_names": ["X", "Y", "Z"],
     }
-    state = write(tmp_path, "coupled.json", doc)
+    return write(tmp_path, "coupled.json", doc)
+
+
+def test_check_markov_detects_incompatible_states(chain_files, tmp_path, capsys):
+    model, _ = chain_files
+    state = _coupled_state(tmp_path)
     code, out, _ = run(capsys, ["check-markov", state, model])
     assert code == 1
     assert all(line.startswith("FAIL") for line in out)
+
+
+def test_check_markov_nan_cell_is_an_input_error(tmp_path, capsys):
+    p = build_ah_joint(random_ahspec(np.random.default_rng(30), 2, hi=2), True)
+    doc = state_to_json(p)
+    doc["rows"][0][0] = float("nan")
+    state = write(tmp_path, "nan_state.json", doc)
+    model = write(tmp_path, "grid.json", model_to_json(expand_ah_model(2)))
+    code, out, err = run(capsys, ["check-markov", state, model])
+    assert code == 2
+    assert out == []
+    assert "nan_state.json" in err and "non-finite" in err
+
+
+def test_raised_entry_under_a_loose_atol_names_the_state(
+    chain_files, tmp_path, capsys, monkeypatch
+):
+    model, state = chain_files
+    doc = json.loads((tmp_path / "state.json").read_text())
+    doc["rows"][0][0] += 5
+    raised = write(tmp_path, "raised.json", doc)
+    monkeypatch.setenv("FINSTOCH_ATOL", "10")
+    code, out, err = run(capsys, ["check-markov", raised, model])
+    assert code == 2
+    assert out == []
+    assert err.count("raised.json") == 1 and "row sums deviate" in err
 
 
 def test_check_markov_timing_file(chain_files, tmp_path, capsys):
@@ -226,6 +260,22 @@ def test_verify_ah_reports_three_lemma_lines(tmp_path, capsys):
     )
     code, _, err = run(capsys, ["verify-ah", rect])
     assert code == 2 and "error:" in err
+
+
+def test_verify_ah_wire_cap_on_one_element_grids(tmp_path, capsys):
+    six = write(tmp_path, "spec6.json", ahspec_to_json(one_element_ahspec(6)))
+    code, out, _ = run(capsys, ["verify-ah", six])
+    assert code == 0
+    assert out == [
+        "PASS ah-entries-given-tails residual=0",
+        "PASS ah-entry-vs-unrelated residual=0",
+        "PASS ah-tails-given-latent residual=0",
+    ]
+    seven = write(tmp_path, "spec7.json", ahspec_to_json(one_element_ahspec(7)))
+    code, out, err = run(capsys, ["verify-ah", seven])
+    assert code == 2
+    assert out == []
+    assert err.count("spec7.json") == 1 and "52" in err
 
 
 def _definetti_doc(n):
@@ -393,6 +443,19 @@ def test_atol_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FINSTOCH_ATOL", "abc")
     code, _, err = run(capsys, ["check-ci", state, "--x", "x", "--y", "w"])
     assert code == 2 and "FINSTOCH_ATOL" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-1", "nan"])
+def test_atol_must_be_finite_and_non_negative(
+    value, chain_files, tmp_path, capsys, monkeypatch
+):
+    model, _ = chain_files
+    state = _coupled_state(tmp_path)
+    monkeypatch.setenv("FINSTOCH_ATOL", value)
+    code, out, err = run(capsys, ["check-markov", state, model])
+    assert code == 2
+    assert out == []
+    assert "FINSTOCH_ATOL" in err and "finite non-negative" in err
 
 
 def test_output_is_deterministic(chain_files, capsys):

@@ -36,6 +36,7 @@ from finstoch import (
 )
 from support import (
     carrier,
+    one_element_ahspec,
     perturbed,
     random_ahspec,
     random_kernel,
@@ -290,6 +291,14 @@ def test_grid_size_cap():
     spec = random_ahspec(rng, 2, hi=2)
     with pytest.raises(SizeLimit):
         build_ah_joint(spec, max_entries=8)
+
+
+def test_grid_wire_cap_is_52():
+    # 6x6 exposes 49 wires, 7x7 needs 64; both joints have one entry
+    rep = verify_ah_lemmas(one_element_ahspec(6))
+    assert rep.all_hold and rep.residuals == (0.0, 0.0, 0.0)
+    with pytest.raises(SizeLimit):
+        build_ah_joint(one_element_ahspec(7))
 
 
 def test_lemma_report_on_a_random_square_grid():

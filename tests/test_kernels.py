@@ -75,6 +75,15 @@ def test_kernel_validation():
         k.matrix[0, 0] = 1.0
 
 
+def test_kernel_rejects_nan_entries_and_tolerances():
+    with pytest.raises(ShapeMismatch, match="non-finite entry"):
+        Kernel((A,), (B,), [[np.nan, 1.0], [0.5, 0.5]])
+    with pytest.raises(ShapeMismatch, match="non-finite entry"):
+        Kernel.state([0.5, 0.5, np.nan, 0.0], (A, B))
+    with pytest.raises(ShapeMismatch):
+        Kernel((A,), (B,), [[0.3, 0.7], [0.6, 0.4]], atol=np.nan)
+
+
 def test_state_has_one_row():
     p = Kernel.state([0.3, 0.7], A)
     assert p.dom == ()

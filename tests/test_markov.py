@@ -122,6 +122,25 @@ def test_recompose_respects_the_entry_cap():
         recompose(CHAIN, asg, max_entries=4)
 
 
+def _unit_chain(n):
+    """An n-wire chain model on one-element carriers, with its only assignment."""
+    one = carrier("one", 1)
+    wires = [f"w{k}" for k in range(n)]
+    boxes = [Box("b0", (), (wires[0],))] + [
+        Box(f"b{k}", (wires[k - 1],), (wires[k],)) for k in range(1, n)
+    ]
+    kernels = {"b0": Kernel.state([1.0], one)}
+    kernels.update({f"b{k}": Kernel((one,), (one,), [[1.0]]) for k in range(1, n)})
+    return make_model(boxes), BoxAssignment({w: one for w in wires}, kernels)
+
+
+def test_recompose_caps_the_number_of_wires_at_52():
+    p = recompose(*_unit_chain(52))
+    assert len(p.wire_names) == 52 and p.kernel.matrix.tolist() == [[1.0]]
+    with pytest.raises(SizeLimit):
+        recompose(*_unit_chain(53))
+
+
 def test_assignment_validation():
     rng = np.random.default_rng(65)
     asg = _chain_assignment(rng)
