@@ -3,8 +3,9 @@
 Independence of wire groups X and Y given W is checked constructively:
 conditional kernels of the (X,W) and (Y,W) marginals given W are
 recomposed with the W marginal and compared entrywise to the (X,Y,W)
-marginal.  Zero-mass conditioning cells recompose to zero either way,
-so the comparison is exact on support.
+marginal.  Conditioning cells of mass exactly 0 get uniform
+conditionals and recompose to zero either way, so the comparison is
+exact on support.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NotAPartition, WireOverlap
-from .kernels import DEFAULT_ATOL, JointState, marginalize, reindex
+from .kernels import DEFAULT_ATOL, JointState, _normalize, marginalize, reindex
 
 WireGroup = Iterable[str]
 
@@ -32,14 +33,6 @@ def _as_groups(p: JointState, groups: Sequence[WireGroup], given: WireGroup):
                 raise WireOverlap(f"wire {w!r} occurs in more than one group")
         taken |= g
     return [[w for w in p.wire_names if w in g] for g in sets]
-
-
-def _conditionals(arr: np.ndarray):
-    """Row-normalize a (group, W)-shaped table; uniform at zero mass."""
-    mass = arr.sum(axis=0, keepdims=True)
-    null = mass == 0.0
-    out = arr / np.where(null, 1.0, mass)
-    return np.where(null, 1.0 / arr.shape[0], out)
 
 
 def mutual_ci_residual(
@@ -63,7 +56,7 @@ def mutual_ci_residual(
     recomposed = arr.sum(axis=tuple(range(k)))
     for i in range(k):
         others = tuple(j for j in range(k) if j != i)
-        cond = _conditionals(arr.sum(axis=others))
+        cond = _normalize(arr.sum(axis=others), axis=0)
         recomposed = recomposed * np.expand_dims(cond, others)
     return float(np.abs(arr - recomposed).max())
 

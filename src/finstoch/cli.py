@@ -6,9 +6,11 @@ appended for numeric checks (three significant digits).  The exit code
 is 0 when every line is PASS, 1 when some check failed, and 2 when an
 input could not be read or parsed.  Setting the environment variable
 ``FINSTOCH_ATOL`` overrides the default tolerance of every check; it
-must be a finite non-negative number, or the command exits 2.  States
-and contractions are capped at 2**20 entries and 52 wires; larger
-inputs exit 2.
+must be a finite non-negative number, or the command exits 2.  Input
+kernels, states and specs must be stochastic within 1e-9, or within
+``FINSTOCH_ATOL`` if that is stricter: the variable only loosens
+verdicts, never what input is accepted.  States and contractions are
+capped at 2**20 entries and 52 wires; larger inputs exit 2.
 """
 
 from __future__ import annotations
@@ -86,6 +88,11 @@ def _atol() -> float:
 def _strict_atol(default: float) -> float:
     """Tolerance for checks whose default is stricter than the global one."""
     return _atol() if "FINSTOCH_ATOL" in os.environ else default
+
+
+def _load_atol() -> float:
+    """Tolerance input kernels are validated at: 1e-9 or a stricter FINSTOCH_ATOL."""
+    return min(_atol(), DEFAULT_ATOL)
 
 
 @contextmanager
@@ -175,7 +182,7 @@ def _cmd_validate_model(args) -> list[CheckLine]:
 
 def _cmd_check_ci(args) -> list[CheckLine]:
     atol = _atol()
-    p = _read(args.state, state_from_json, atol)
+    p = _read(args.state, state_from_json, _load_atol())
     x = _wire_list(args.x, "--x")
     y = _wire_list(args.y, "--y")
     given = _wire_list(args.given, "--given") if args.given else []
@@ -184,8 +191,8 @@ def _cmd_check_ci(args) -> list[CheckLine]:
     return [(r <= atol, f"ci {_fmt_groups(x, y, given)}", r)]
 
 
-def _load_state_and_model(args, atol: float):
-    p = _read(args.state, state_from_json, atol)
+def _load_state_and_model(args):
+    p = _read(args.state, state_from_json, _load_atol())
     m = _read(args.model, model_from_json)
     violations = validate_model(m)
     if violations:
@@ -205,7 +212,7 @@ def _load_state_and_model(args, atol: float):
 
 def _cmd_check_markov(args) -> list[CheckLine]:
     atol = _atol()
-    p, m, t = _load_state_and_model(args, atol)
+    p, m, t = _load_state_and_model(args)
     run_all = not (args.local or args.ordered)
     lines: list[CheckLine] = []
     with _blame(args.state):
@@ -223,7 +230,7 @@ def _cmd_check_markov(args) -> list[CheckLine]:
 
 def _cmd_factorize(args) -> list[CheckLine]:
     atol = _atol()
-    p, m, t = _load_state_and_model(args, atol)
+    p, m, t = _load_state_and_model(args)
     with _blame(args.state):
         asg = factorize(p, m, t)
         r = recomposition_residual(p, m, asg)
@@ -232,8 +239,7 @@ def _cmd_factorize(args) -> list[CheckLine]:
 
 
 def _cmd_build_ah(args) -> list[CheckLine]:
-    atol = _atol()
-    spec = _read(args.spec, ahspec_from_json, atol)
+    spec = _read(args.spec, ahspec_from_json, _load_atol())
     with _blame(args.spec):
         p = build_ah_joint(spec, expose_latents=args.expose_latents)
     _write_json(args.output, state_to_json(p))
@@ -242,7 +248,7 @@ def _cmd_build_ah(args) -> list[CheckLine]:
 
 def _cmd_verify_ah(args) -> list[CheckLine]:
     atol = _atol()
-    spec = _read(args.spec, ahspec_from_json, atol)
+    spec = _read(args.spec, ahspec_from_json, _load_atol())
     with _blame(args.spec):
         report = verify_ah_lemmas(spec, atol)
     r1, r2, r3 = report.residuals
@@ -264,7 +270,7 @@ def _cmd_check_exchangeable(args) -> list[CheckLine]:
             want = ("sequence", int(args.grid), 1)
         else:
             raise ShapeMismatch(f"--grid {args.grid!r} is not MxN or N")
-    p = _read(args.state, state_from_json, atol)
+    p = _read(args.state, state_from_json, _load_atol())
     lines: list[CheckLine] = []
     with _blame(args.state):
         naming = decode_names(p.wire_names)
@@ -310,7 +316,7 @@ def _cmd_replay(args) -> list[CheckLine]:
 
 def _cmd_noise_outsource(args) -> list[CheckLine]:
     atol = _atol()
-    f = _read(args.kernel, kernel_from_json, atol)
+    f = _read(args.kernel, kernel_from_json, _load_atol())
     if len(f.cod) != 1:
         raise FinstochError(f"{args.kernel}: a single codomain factor is required")
     order = (
@@ -338,10 +344,7 @@ def _cmd_noise_outsource(args) -> list[CheckLine]:
 
 
 def _cmd_check_cs(args) -> list[CheckLine]:
-    atol = _atol()
-    p = _read(args.p, kernel_from_json, atol)
-    f = _read(args.f, kernel_from_json, atol)
-    g = _read(args.g, kernel_from_json, atol)
+    p, f, g = (_read(a, kernel_from_json, _load_atol()) for a in (args.p, args.f, args.g))
     report = cs_check(p, f, g, consequent_atol=_strict_atol(1e-6))
     return [
         (report.antecedent_holds, "cs-antecedent", report.antecedent_residual),
@@ -444,11 +447,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _emit(args.handler(args))
-    except FinstochError as e:
+    except (FinstochError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except Exception as e:
+        # an input no check anticipated must still not read as a failed check
+        print(f"error: unexpected {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

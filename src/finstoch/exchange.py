@@ -11,9 +11,10 @@ transpositions generate the full permutation action.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .kernels import (
     Kernel,
     as_equal_residual,
     contract,
-    reindex,
 )
 
 _SEQ_RE = re.compile(r"^(?P<prefix>.*)\[(?P<i>\d+)\]$")
@@ -135,6 +135,23 @@ def decode_names(names: Sequence[str], prefix: str | None = None) -> _Naming:
     return _Naming("sequence", pfx, n, 1)
 
 
+def _axis_order(
+    naming: _Naming, sigma: PermSpec, names: Sequence[str], carriers: Sequence[FinSet]
+) -> list[int]:
+    """Axes of the factors named ``names`` in the order sigma moves them to.
+
+    Transposing by this order gives the image under sigma.  Raises
+    DomainMismatch when a position and its image carry different
+    carriers, since the image is then no state on the same factors.
+    """
+    naming.check_perm(sigma)
+    renamed = [naming.rename(w, sigma) for w in names]
+    order = [renamed.index(w) for w in names]
+    if any(carriers[k] != c for k, c in zip(order, carriers)):
+        raise DomainMismatch("carriers differ across permuted positions")
+    return order
+
+
 def invariance_residual(
     p: JointState, generators: Iterable[PermSpec], prefix: str | None = None
 ) -> float:
@@ -142,12 +159,8 @@ def invariance_residual(
     naming = decode_names(p.wire_names, prefix)
     worst = 0.0
     for sigma in generators:
-        naming.check_perm(sigma)
-        moved = JointState(
-            p.kernel, tuple(naming.rename(w, sigma) for w in p.wire_names)
-        )
-        back = reindex(moved, p.wire_names)
-        worst = max(worst, float(np.abs(back.kernel.matrix - p.kernel.matrix).max()))
+        order = _axis_order(naming, sigma, p.wire_names, p.kernel.cod)
+        worst = max(worst, float(np.abs(p.array.transpose(order) - p.array).max()))
     return worst
 
 
@@ -180,24 +193,11 @@ def check_as_invariance(
     if m.cod != p.dom:
         raise DomainMismatch("state does not land in the kernel's domain")
     naming = decode_names(wire_names, prefix)
-    ncod = len(p.cod)
     ndom = len(p.dom)
     for sigma in generators:
-        naming.check_perm(sigma)
-        renamed = [naming.rename(w, sigma) for w in wire_names]
-        perm = [renamed.index(w) for w in wire_names]
-        arr = p.array.transpose(
-            list(range(ndom)) + [ndom + k for k in perm]
-        )
-        moved = Kernel(
-            p.dom,
-            tuple(p.cod[k] for k in perm),
-            arr.reshape(p.matrix.shape),
-        )
-        if moved.cod != p.cod:
-            raise DomainMismatch(
-                "carriers differ across permuted positions"
-            )
+        order = _axis_order(naming, sigma, wire_names, p.cod)
+        arr = p.array.transpose(list(range(ndom)) + [ndom + k for k in order])
+        moved = Kernel(p.dom, p.cod, arr.reshape(p.matrix.shape))
         if as_equal_residual(moved, p, m, atol) > atol:
             return False
     return True
@@ -219,14 +219,15 @@ def build_definetti_joint(
         raise ShapeMismatch("f must map the latent carrier to a single factor")
     if n < 1:
         raise ShapeMismatch("n must be at least 1")
-    xs = [f"{prefix}[{i}]" for i in range(1, n + 1)]
-    # None labels the latent, so no prefix or latent name can clash with it
+    # labels: None for the latent, i for X[i]; the range stays lazy, so a
+    # huge n hits the wire cap before anything of size n exists
+    xs = range(1, n + 1)
     arr = contract(
-        [(q.matrix[0], [None])] + [(f.matrix, [None, x]) for x in xs],
-        ([None] if expose_latent else []) + xs,
+        itertools.chain([(q.matrix[0], [None])], ((f.matrix, [None, i]) for i in xs)),
+        itertools.chain([None] if expose_latent else [], xs),
         max_entries,
     )
-    wires = [(x, f.cod[0]) for x in xs]
+    wires = [(f"{prefix}[{i}]", f.cod[0]) for i in xs]
     if expose_latent:
         wires = [(latent_name, q.cod[0])] + wires
     return JointState.from_array(arr, wires)
@@ -260,19 +261,18 @@ class AHSpec:
             raise ShapeMismatch("grid must have at least one row and column")
 
 
-def ah_wires(spec: AHSpec, expose_latents: bool) -> list[tuple[str, FinSet]]:
+def _ah_wires(spec: AHSpec, expose_latents: bool) -> Iterator[tuple[str, FinSet]]:
     a, b, c, x = spec.q.cod[0], spec.f.cod[0], spec.g.cod[0], spec.h.cod[0]
-    wires: list[tuple[str, FinSet]] = []
+    rows, cols = range(1, spec.rows + 1), range(1, spec.cols + 1)
     if expose_latents:
-        wires.append(("T", a))
-        wires += [(f"R[{i}]", b) for i in range(1, spec.rows + 1)]
-        wires += [(f"C[{j}]", c) for j in range(1, spec.cols + 1)]
-    wires += [
-        (f"S[{i},{j}]", x)
-        for i in range(1, spec.rows + 1)
-        for j in range(1, spec.cols + 1)
-    ]
-    return wires
+        yield ("T", a)
+        yield from ((f"R[{i}]", b) for i in rows)
+        yield from ((f"C[{j}]", c) for j in cols)
+    yield from ((f"S[{i},{j}]", x) for i in rows for j in cols)
+
+
+def ah_wires(spec: AHSpec, expose_latents: bool) -> list[tuple[str, FinSet]]:
+    return list(_ah_wires(spec, expose_latents))
 
 
 def build_ah_joint(
@@ -287,17 +287,19 @@ def build_ah_joint(
     sums over whatever is not exposed.
     """
     rows, cols = range(1, spec.rows + 1), range(1, spec.cols + 1)
-    operands = [(spec.q.matrix[0], ["T"])]
-    operands += [(spec.f.matrix, ["T", f"R[{i}]"]) for i in rows]
-    operands += [(spec.g.matrix, ["T", f"C[{j}]"]) for j in cols]
-    operands += [
-        (spec.h.array, [f"R[{i}]", "T", f"C[{j}]", f"S[{i},{j}]"])
-        for i in rows
-        for j in cols
-    ]
-    wires = ah_wires(spec, expose_latents)
-    arr = contract(operands, [w for w, _ in wires], max_entries)
-    return JointState.from_array(arr, wires)
+    # lazy, so a large grid hits the wire cap before its operands exist
+    operands = itertools.chain(
+        [(spec.q.matrix[0], ["T"])],
+        ((spec.f.matrix, ["T", f"R[{i}]"]) for i in rows),
+        ((spec.g.matrix, ["T", f"C[{j}]"]) for j in cols),
+        (
+            (spec.h.array, [f"R[{i}]", "T", f"C[{j}]", f"S[{i},{j}]"])
+            for i in rows
+            for j in cols
+        ),
+    )
+    arr = contract(operands, (w for w, _ in _ah_wires(spec, expose_latents)), max_entries)
+    return JointState.from_array(arr, ah_wires(spec, expose_latents))
 
 
 @dataclass(frozen=True)

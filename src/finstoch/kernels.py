@@ -126,15 +126,16 @@ class Kernel:
 
 def contract(
     operands: Iterable[tuple[np.ndarray, Sequence[Hashable]]],
-    out: Sequence[Hashable],
-    max_entries: int = MAX_ENTRIES,
+    out: Iterable[Hashable],
+    max_entries: float = MAX_ENTRIES,
 ) -> np.ndarray:
     """Sum of products of labelled arrays, keeping the ``out`` labels in order.
 
     Each operand lists one label per axis, usually a wire name; axes with
     the same label share one index, and labels missing from ``out`` are
-    summed out.  Raises SizeLimit before any allocation when there are
-    more labels than numpy can address (52) or the result would exceed
+    summed out.  Raises SizeLimit before any allocation: as soon as the
+    53rd distinct label arrives (numpy addresses 52), so operands may be
+    a lazy iterable of any length, or when the result would exceed
     ``max_entries`` entries.
     """
     index: dict[Hashable, int] = {}
@@ -142,11 +143,11 @@ def contract(
     args: list = []
     for arr, labels in operands:
         for label, n in zip(labels, arr.shape):
-            index.setdefault(label, len(index))
+            if index.setdefault(label, len(index)) == 52:
+                raise SizeLimit("more than the 52 wires a contraction can address")
             size[label] = n
         args += [arr, [index[label] for label in labels]]
-    if len(index) > 52:
-        raise SizeLimit(f"{len(index)} wires exceed the 52 a contraction can address")
+    out = list(out)
     if math.prod(size[label] for label in out) > max_entries:
         raise SizeLimit(f"joint state exceeds {max_entries} entries")
     return np.einsum(*args, [index[label] for label in out], optimize=True)
@@ -317,6 +318,17 @@ def is_deterministic(f: Kernel, atol: float = DEFAULT_ATOL) -> bool:
     return bool(np.all((m <= atol) | (m >= 1.0 - atol)))
 
 
+def _normalize(t: np.ndarray, axis: int) -> np.ndarray:
+    """Divide t by its sums along axis; uniform where a sum is exactly 0.
+
+    The one zero-mass rule, shared by conditionals and the CI residual;
+    almost-sure equality instead counts mass at or below atol as null.
+    """
+    mass = t.sum(axis=axis, keepdims=True)
+    null = mass == 0.0
+    return np.where(null, 1.0 / t.shape[axis], t / np.where(null, 1.0, mass))
+
+
 def conditional(p: Kernel, given: Sequence[int]) -> Kernel:
     """Conditional of p onto the non-``given`` factors.
 
@@ -324,7 +336,7 @@ def conditional(p: Kernel, given: Sequence[int]) -> Kernel:
     those factors (in the order listed) followed by p's original inputs,
     and emits the remaining codomain factors in their original order, so
     that recomposing marginal and conditional reproduces p on every
-    input of positive mass.  Rows at zero-mass inputs are uniform.
+    input of positive mass.  Rows at inputs of mass exactly 0 are uniform.
     """
     given = [int(i) for i in given]
     if len(set(given)) != len(given):
@@ -339,17 +351,15 @@ def conditional(p: Kernel, given: Sequence[int]) -> Kernel:
     nx = _flat_size(x_factors) * _flat_size(p.dom)
     ny = _flat_size(y_factors)
     t = p.array.transpose(perm).reshape(nx, ny)
-    mass = t.sum(axis=1, keepdims=True)
-    null = mass == 0.0
-    out = t / np.where(null, 1.0, mass)
-    out = np.where(null, 1.0 / ny, out)
-    return Kernel(x_factors + p.dom, y_factors, out)
+    return Kernel(x_factors + p.dom, y_factors, _normalize(t, axis=1))
 
 
 def as_equal_residual(f: Kernel, g: Kernel, p: Kernel, atol: float = DEFAULT_ATOL) -> float:
     """Largest rowwise deviation between f and g on the support of p.
 
-    Supported inputs are those x with max_a p(x|a) > atol.
+    Supported inputs are those x with max_a p(x|a) > atol; unlike
+    conditionals, which go uniform only at mass exactly 0, mass at or
+    below atol counts as null here.
     """
     if f.dom != g.dom or f.cod != g.cod:
         raise DomainMismatch("kernels have different interfaces")
@@ -382,7 +392,10 @@ class CSReport:
 
 
 def _pairing(u: Kernel, v: Kernel, p: Kernel) -> Kernel:
-    return compose(tensor(u, v), compose(copy_kernel(p.cod), p))
+    """(u ⊗ v) ∘ copy ∘ p, summed directly: Σₓ p(x|i)·u(a|x)·v(b|x)."""
+    # uncapped, like compose and tensor: the entry cap is for joint states
+    out = contract([(p.matrix, "ix"), (u.matrix, "xa"), (v.matrix, "xb")], "iab", math.inf)
+    return Kernel(p.dom, u.cod + v.cod, out.reshape(len(p.matrix), -1))
 
 
 def cs_check(
@@ -400,15 +413,11 @@ def cs_check(
     antecedent is held to a stricter tolerance because deviations enter
     the pairings quadratically.
     """
-    if f.dom != g.dom or f.cod != g.cod:
-        raise DomainMismatch("kernels have different interfaces")
-    if p.cod != f.dom:
-        raise DomainMismatch("state does not land in the kernels' domain")
+    cons = as_equal_residual(f, g, p, consequent_atol)  # first: it checks the interfaces
     ff = _pairing(f, f, p)
     fg = _pairing(f, g, p)
     gg = _pairing(g, g, p)
     ante = max(max_abs_diff(ff, fg), max_abs_diff(fg, gg), max_abs_diff(ff, gg))
-    cons = as_equal_residual(f, g, p, consequent_atol)
     return CSReport(
         antecedent_holds=ante <= antecedent_atol,
         consequent_holds=cons <= consequent_atol,
@@ -448,50 +457,43 @@ class ParamKernel:
         return [Kernel(self.dom, self.cod, t[:, w, :]) for w in range(nw)]
 
 
+def _stack(slices: Sequence[Kernel], param: FinSet) -> ParamKernel:
+    """The parametric kernel whose slice at the w-th value of param is slices[w]."""
+    k = slices[0]
+    mat = np.stack([s.matrix for s in slices], axis=1)
+    return ParamKernel(Kernel(k.dom + (param,), k.cod, mat.reshape(-1, mat.shape[2])))
+
+
+def _shared_param(*ks: ParamKernel) -> FinSet:
+    """The parameter factor all of ks carry; ParamMismatch if they differ."""
+    if any(k.param != ks[0].param for k in ks):
+        labels = " vs ".join(repr(k.param.label) for k in ks)
+        raise ParamMismatch(f"parameter factors differ ({labels})")
+    return ks[0].param
+
+
 def param_lift(k: Kernel, param: FinSet) -> ParamKernel:
     """View an ordinary kernel as parametric, ignoring the parameter."""
-    return ParamKernel(tensor(k, discard_kernel(param)))
+    return _stack([k] * param.size, param)
 
 
 def parametric_compose(g: ParamKernel, f: ParamKernel) -> ParamKernel:
     """Composite that feeds one shared parameter value to both factors."""
-    if f.param != g.param:
-        raise ParamMismatch(
-            f"parameter factors differ ({f.param.label!r} vs {g.param.label!r})"
-        )
-    if f.cod != g.dom:
-        raise DomainMismatch("cannot compose: intermediate interfaces differ")
-    na = _flat_size(f.dom)
-    nw = f.param.size
-    nx = _flat_size(f.cod)
-    ny = _flat_size(g.cod)
-    f3 = f.base.matrix.reshape(na, nw, nx)
-    g3 = g.base.matrix.reshape(nx, nw, ny)
-    out = np.einsum("awx,xwy->awy", f3, g3).reshape(na * nw, ny)
-    return ParamKernel(Kernel(f.dom + (f.param,), g.cod, out))
+    w = _shared_param(f, g)
+    return _stack([compose(gs, fs) for fs, gs in zip(f.slices(), g.slices())], w)
 
 
 def parametric_tensor(f: ParamKernel, g: ParamKernel) -> ParamKernel:
     """Parallel composite that copies the shared parameter to both legs."""
-    if f.param != g.param:
-        raise ParamMismatch(
-            f"parameter factors differ ({f.param.label!r} vs {g.param.label!r})"
-        )
-    na = _flat_size(f.dom)
-    nb = _flat_size(g.dom)
-    nw = f.param.size
-    ny = _flat_size(f.cod)
-    nz = _flat_size(g.cod)
-    f3 = f.base.matrix.reshape(na, nw, ny)
-    g3 = g.base.matrix.reshape(nb, nw, nz)
-    out = np.einsum("awy,bwz->abwyz", f3, g3).reshape(na * nb * nw, ny * nz)
-    return ParamKernel(Kernel(f.dom + g.dom + (f.param,), f.cod + g.cod, out))
+    w = _shared_param(f, g)
+    return _stack([tensor(fs, gs) for fs, gs in zip(f.slices(), g.slices())], w)
 
 
 def parametric_as_equal(
     f: ParamKernel, g: ParamKernel, p: ParamKernel, atol: float = DEFAULT_ATOL
 ) -> bool:
     """Slice-wise a.s. equality of two parametric kernels."""
+    _shared_param(p, f, g)
     return all(
         as_equal(fs, gs, ps, atol)
         for fs, gs, ps in zip(f.slices(), g.slices(), p.slices())
@@ -507,32 +509,15 @@ def parametric_cs_check(
 ) -> CSReport:
     """The two-sided check of cs_check, run in the parametric category.
 
-    The pairings are built with parametric composition and tensor (the
-    copy discards the parameter), and the consequent is slice-wise a.s.
-    equality.
+    A parametric kernel is one plain kernel per parameter value, so the
+    check runs cs_check slice by slice and keeps the worst antecedent
+    and consequent residuals.
     """
-    if f.param != g.param or f.param != p.param:
-        raise ParamMismatch("parameter factors differ")
-    if f.dom != g.dom or f.cod != g.cod:
-        raise DomainMismatch("kernels have different interfaces")
-    if p.cod != f.dom:
-        raise DomainMismatch("state does not land in the kernels' domain")
-    cp = parametric_compose(param_lift(copy_kernel(p.cod), p.param), p)
-    ff = parametric_compose(parametric_tensor(f, f), cp)
-    fg = parametric_compose(parametric_tensor(f, g), cp)
-    gg = parametric_compose(parametric_tensor(g, g), cp)
-    ante = max(
-        max_abs_diff(ff.base, fg.base),
-        max_abs_diff(fg.base, gg.base),
-        max_abs_diff(ff.base, gg.base),
-    )
-    cons = max(
-        as_equal_residual(fs, gs, ps, consequent_atol)
-        for fs, gs, ps in zip(f.slices(), g.slices(), p.slices())
-    )
-    return CSReport(
-        antecedent_holds=ante <= antecedent_atol,
-        consequent_holds=cons <= consequent_atol,
-        antecedent_residual=ante,
-        consequent_residual=cons,
-    )
+    _shared_param(p, f, g)
+    reports = [
+        cs_check(ps, fs, gs, antecedent_atol, consequent_atol)
+        for ps, fs, gs in zip(p.slices(), f.slices(), g.slices())
+    ]
+    ante = max(r.antecedent_residual for r in reports)
+    cons = max(r.consequent_residual for r in reports)
+    return CSReport(ante <= antecedent_atol, cons <= consequent_atol, ante, cons)

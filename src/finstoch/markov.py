@@ -12,7 +12,7 @@ agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -100,17 +100,23 @@ def _require_same_wires(p: JointState, m: CausalModel) -> None:
         )
 
 
+def _screening_off_residual(
+    p: JointState, m: CausalModel, screened: Callable[[Box], frozenset[str]]
+) -> float:
+    """Largest residual over boxes of: outputs _||_ screened(box) | inputs."""
+    worst = 0.0
+    for b in m.boxes:
+        rest = screened(b) - set(b.in_wires) - set(b.out_wires)
+        if rest:
+            worst = max(worst, ci_residual(p, b.out_wires, rest, b.in_wires))
+    return worst
+
+
 def local_markov_residual(p: JointState, m: CausalModel) -> float:
     """Largest residual over boxes of: outputs _||_ non-descendants | inputs."""
     ensure_valid(m)
     _require_same_wires(p, m)
-    worst = 0.0
-    for b in m.boxes:
-        rest = non_descendants(m, b.name) - set(b.in_wires)
-        if not rest:
-            continue
-        worst = max(worst, ci_residual(p, b.out_wires, rest, b.in_wires))
-    return worst
+    return _screening_off_residual(p, m, lambda b: non_descendants(m, b.name))
 
 
 def check_local_markov(
@@ -127,13 +133,7 @@ def ordered_markov_residual(
     _require_same_wires(p, m)
     t = default_timing(m) if timing is None else timing
     validate_timing(m, t)
-    worst = 0.0
-    for b in m.boxes:
-        rest = past(m, t, b.name) - set(b.in_wires) - set(b.out_wires)
-        if not rest:
-            continue
-        worst = max(worst, ci_residual(p, b.out_wires, rest, b.in_wires))
-    return worst
+    return _screening_off_residual(p, m, lambda b: past(m, t, b.name))
 
 
 def check_ordered_markov(

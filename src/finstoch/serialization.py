@@ -1,15 +1,17 @@
 """JSON document formats for every value the command line exchanges.
 
-All loaders re-validate through the library constructors, so malformed
-or non-stochastic documents fail with a message naming the offending
-field.  Matrices are stored row-major: rows enumerate domain tuples
-lexicographically by factor order then element order, and likewise for
-the columns.
+All loaders check the JSON type of every field and re-validate through
+the library constructors, so malformed or non-stochastic documents fail
+with ShapeMismatch naming the offending field.  Matrices are stored
+row-major: rows enumerate domain tuples lexicographically by factor
+order then element order, and likewise for the columns.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
+
+import numpy as np
 
 from .errors import FinstochError, ShapeMismatch
 from .exchange import AHSpec
@@ -20,11 +22,15 @@ from .quantiles import Breakpoint, QuantileFunction
 from .semigraphoid import CIStatement, Derivation, DerivationStep
 
 
-def _get(obj: Mapping, key: str, where: str) -> Any:
+def _get(obj: Any, key: str, where: str, kind: type = object) -> Any:
+    """Field key of the object obj, required to be of type kind."""
     if not isinstance(obj, Mapping):
         raise ShapeMismatch(f"{where}: expected an object")
     if key not in obj:
         raise ShapeMismatch(f"{where}: missing field {key!r}")
+    if not isinstance(obj[key], kind):
+        noun = "a list" if kind is list else "an object"
+        raise ShapeMismatch(f"{where}.{key}: expected {noun}")
     return obj[key]
 
 
@@ -57,15 +63,18 @@ def kernel_to_json(k: Kernel) -> dict:
 def kernel_from_json(obj: Any, atol: float = DEFAULT_ATOL, where: str = "kernel") -> Kernel:
     dom = [
         finset_from_json(f, f"{where}.dom[{i}]")
-        for i, f in enumerate(_get(obj, "dom", where))
+        for i, f in enumerate(_get(obj, "dom", where, list))
     ]
     cod = [
         finset_from_json(f, f"{where}.cod[{i}]")
-        for i, f in enumerate(_get(obj, "cod", where))
+        for i, f in enumerate(_get(obj, "cod", where, list))
     ]
-    rows = _get(obj, "rows", where)
+    rows = _get(obj, "rows", where, list)
     try:
-        return Kernel(tuple(dom), tuple(cod), rows, atol)
+        mat = np.asarray(rows)
+        if mat.dtype.kind not in "fiu":
+            raise ShapeMismatch("expected rows of numbers")
+        return Kernel(tuple(dom), tuple(cod), mat, atol)
     except (FinstochError, TypeError, ValueError) as e:
         raise ShapeMismatch(f"{where}.rows: {e}") from e
 
@@ -99,7 +108,7 @@ def model_to_json(m: CausalModel) -> dict:
 def model_from_json(obj: Any, where: str = "model") -> CausalModel:
     wires = _strings(_get(obj, "wires", where), f"{where}.wires")
     boxes = []
-    for i, b in enumerate(_get(obj, "boxes", where)):
+    for i, b in enumerate(_get(obj, "boxes", where, list)):
         bw = f"{where}.boxes[{i}]"
         name = _get(b, "name", bw)
         if not isinstance(name, str):
@@ -142,11 +151,11 @@ def assignment_from_json(
 ) -> BoxAssignment:
     carriers = {
         w: finset_from_json(c, f"{where}.carriers[{w!r}]")
-        for w, c in _get(obj, "carriers", where).items()
+        for w, c in _get(obj, "carriers", where, Mapping).items()
     }
     kernels = {
         b: kernel_from_json(k, atol, f"{where}.boxes[{b!r}]")
-        for b, k in _get(obj, "boxes", where).items()
+        for b, k in _get(obj, "boxes", where, Mapping).items()
     }
     return BoxAssignment(carriers, kernels)
 
@@ -221,10 +230,10 @@ def derivation_from_json(obj: Any, where: str = "derivation") -> Derivation:
     symbols = _strings(_get(obj, "symbols", where), f"{where}.symbols")
     axioms = [
         statement_from_json(a, f"{where}.axioms[{i}]")
-        for i, a in enumerate(_get(obj, "axioms", where))
+        for i, a in enumerate(_get(obj, "axioms", where, list))
     ]
     steps = []
-    for i, s in enumerate(_get(obj, "steps", where)):
+    for i, s in enumerate(_get(obj, "steps", where, list)):
         sw = f"{where}.steps[{i}]"
         rule = _get(s, "rule", sw)
         premises = _get(s, "premises", sw)
@@ -264,13 +273,15 @@ def quantile_from_json(
 ) -> QuantileFunction:
     dom = tuple(
         finset_from_json(f, f"{where}.dom[{i}]")
-        for i, f in enumerate(_get(obj, "dom", where))
+        for i, f in enumerate(_get(obj, "dom", where, list))
     )
     cod = finset_from_json(_get(obj, "cod", where), f"{where}.cod")
     order = tuple(_strings(_get(obj, "order", where), f"{where}.order"))
     rows = []
-    for i, row in enumerate(_get(obj, "rows", where)):
+    for i, row in enumerate(_get(obj, "rows", where, list)):
         parsed = []
+        if not isinstance(row, list):
+            raise ShapeMismatch(f"{where}.rows[{i}]: expected a list")
         for k, bp in enumerate(row):
             bw = f"{where}.rows[{i}][{k}]"
             upper = _get(bp, "upper", bw)

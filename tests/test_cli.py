@@ -193,6 +193,48 @@ def test_raised_entry_under_a_loose_atol_names_the_state(
     assert err.count("raised.json") == 1 and "row sums deviate" in err
 
 
+def _uniform_doc(wires, labels):
+    """Uniform state doc; wire k carries the carrier named by labels[k]."""
+    sizes = {"bit": 2, "trit": 3}
+    n = int(np.prod([sizes[c] for c in labels]))
+    return {
+        "dom": [],
+        "cod": [
+            {"label": c, "elements": [str(i) for i in range(sizes[c])]} for c in labels
+        ],
+        "rows": [[1.0 / n] * n],
+        "wire_names": list(wires),
+    }
+
+
+def test_raised_entry_under_a_loose_atol_is_rejected_at_load(
+    chain_files, tmp_path, capsys, monkeypatch
+):
+    # inputs are validated at 1e-9 even when FINSTOCH_ATOL loosens verdicts
+    model, _ = chain_files
+    chain = json.loads((tmp_path / "state.json").read_text())
+    chain["rows"][0][0] += 5
+    grid = _uniform_doc(["S[1,1]", "S[1,2]", "S[2,1]", "S[2,2]"], ["bit"] * 4)
+    grid["rows"][0][0] += 5
+    monkeypatch.setenv("FINSTOCH_ATOL", "10")
+    for command, doc, rest in (
+        ("check-markov", chain, [model, "--local"]),
+        ("check-exchangeable", grid, []),
+    ):
+        code, out, err = run(capsys, [command, write(tmp_path, "raised.json", doc)] + rest)
+        assert code == 2
+        assert out == []
+        assert err.count("raised.json") == 1 and "row sums deviate" in err
+
+
+def test_check_exchangeable_rejects_unequal_carriers(tmp_path, capsys):
+    state = write(tmp_path, "mixed.json", _uniform_doc(["X[1]", "X[2]"], ["bit", "trit"]))
+    code, out, err = run(capsys, ["check-exchangeable", state])
+    assert code == 2
+    assert out == []
+    assert err.count("mixed.json") == 1 and "carriers differ" in err
+
+
 def test_check_markov_timing_file(chain_files, tmp_path, capsys):
     model, state = chain_files
     good = write(tmp_path, "t.json", {"f1": 1, "f2": 5, "f3": 9})

@@ -1,5 +1,7 @@
 """Permutation invariance and the latent constructions for sequences and grids."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from finstoch import (
     AHSpec,
     BadWireNaming,
     DomainMismatch,
+    JointState,
     Kernel,
     PermSpec,
     ShapeMismatch,
@@ -150,6 +153,14 @@ def test_as_invariance_interface_checks():
         check_as_invariance(p, Kernel.state([0.5, 0.5], d), [], ["X[1]"])
     with pytest.raises(DomainMismatch):
         check_as_invariance(p, Kernel.state([1.0], carrier("u", 1)), [], ["X[1]", "X[2]"])
+
+
+def test_invariance_rejects_positions_with_unequal_carriers():
+    p = JointState.from_array(
+        np.full(6, 1 / 6), [("X[1]", carrier("x", 2)), ("X[2]", carrier("y", 3))]
+    )
+    with pytest.raises(DomainMismatch):
+        invariance_residual(p, adjacent_transpositions(2, "sequence"))
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +310,30 @@ def test_grid_wire_cap_is_52():
     assert rep.all_hold and rep.residuals == (0.0, 0.0, 0.0)
     with pytest.raises(SizeLimit):
         build_ah_joint(one_element_ahspec(7))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_ah_joint(one_element_ahspec(300)),
+        lambda: verify_ah_lemmas(one_element_ahspec(1000)),
+        lambda: build_definetti_joint(
+            Kernel.state([0.5, 0.5], carrier("a", 2)),
+            Kernel((carrier("a", 2),), (carrier("x", 2),), [[1.0, 0.0], [0.0, 1.0]]),
+            10**5,
+        ),
+    ],
+    ids=["grid-300", "verify-1000", "sequence-1e5"],
+)
+def test_wire_cap_fires_before_the_operands_exist(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_lemma_report_on_a_random_square_grid():

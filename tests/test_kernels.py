@@ -37,6 +37,7 @@ from finstoch import (
     tensor,
     uniform_state,
 )
+from finstoch.kernels import _pairing
 from support import (
     carrier,
     random_carrier,
@@ -373,6 +374,26 @@ def test_cs_check_with_a_kernel_as_reference():
     assert rep.consequent_holds
 
 
+def test_pairing_is_the_copy_tensor_composite():
+    # the reference is the categorical definition: (u ⊗ v) ∘ copy ∘ p
+    rng = np.random.default_rng(23)
+    d = carrier("D", 3)
+    p = random_kernel(rng, A, (d, B), zero_frac=0.3)
+    u = random_kernel(rng, (d, B), (B, C))
+    v = random_kernel(rng, (d, B), A)
+    dense = compose(tensor(u, v), compose(copy_kernel(p.cod), p))
+    assert max_abs_diff(_pairing(u, v, p), dense) <= 1e-15
+
+
+def test_cs_check_pairings_are_not_held_to_the_entry_cap():
+    # each pairing has 1025**2 > 2**20 entries
+    y = carrier("Y", 1025)
+    p = Kernel.state([1.0], carrier("u", 1))
+    f = Kernel((carrier("u", 1),), (y,), np.full((1, y.size), 1 / y.size))
+    rep = cs_check(p, f, f)
+    assert rep.antecedent_holds and rep.consequent_holds
+
+
 # ---------------------------------------------------------------------------
 # parametric kernels
 
@@ -424,6 +445,13 @@ def test_parametric_mismatched_parameters_raise():
         parametric_compose(g, f)
     with pytest.raises(ParamMismatch):
         parametric_tensor(f, g)
+    # a shorter parameter must not truncate the slice-wise checks
+    p = ParamKernel(random_kernel(rng, carrier("V", 3), A))
+    f2 = ParamKernel(random_kernel(rng, (A, carrier("V", 2)), B))
+    with pytest.raises(ParamMismatch):
+        parametric_as_equal(f2, f2, p)
+    with pytest.raises(ParamMismatch):
+        parametric_cs_check(p, f2, f2)
 
 
 def test_parametric_as_equal_is_slice_wise():
