@@ -20,6 +20,7 @@ from .errors import DomainMismatch, ParamMismatch, ShapeMismatch, SizeLimit, Unk
 
 DEFAULT_ATOL = 1e-9
 MAX_ENTRIES = 1 << 20
+MAX_WIRES = 52  # distinct einsum indices numpy can address
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,8 @@ def contract(
     args: list = []
     for arr, labels in operands:
         for label, n in zip(labels, arr.shape):
-            if index.setdefault(label, len(index)) == 52:
-                raise SizeLimit("more than the 52 wires a contraction can address")
+            if index.setdefault(label, len(index)) == MAX_WIRES:
+                raise SizeLimit(f"more than the {MAX_WIRES} wires a contraction can address")
             size[label] = n
         args += [arr, [index[label] for label in labels]]
     out = list(out)

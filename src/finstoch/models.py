@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import FinstochError, InvalidTiming, SizeLimit, UnknownNode
+from .kernels import MAX_WIRES
 
 
 @dataclass(frozen=True)
@@ -291,9 +292,12 @@ def expand_ah_model(rows: int, cols: int | None = None) -> CausalModel:
     """
     if cols is None:
         cols = rows
-    for n, side in ((rows, "rows"), (cols, "cols")):
-        if not 1 <= n <= 8:
-            raise SizeLimit(f"{side}={n} outside the supported range 1..8")
+    wires = 1 + rows + cols + rows * cols
+    if min(rows, cols) < 1 or wires > MAX_WIRES:
+        raise SizeLimit(
+            f"{rows}x{cols} grid: sides must be at least 1 and its {wires} wires "
+            f"at most {MAX_WIRES}, the most a contraction can address"
+        )
     boxes = [Box("alpha", (), ("T",))]
     for i in range(1, rows + 1):
         boxes.append(Box(f"beta[{i}]", ("T",), (f"R[{i}]",)))

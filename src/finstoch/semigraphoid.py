@@ -5,6 +5,13 @@ proof step by step against a fixed rule table; the closure operation
 forward-chains the four core rules (symmetry, decomposition, weak
 union, contraction) from a set of axioms over a finite ground set.
 
+The closure works on (left, right, given) triples of int bitmasks over
+the sorted ground set and builds each CIStatement once, when it
+returns.  It finds the contraction partners of a statement by two exact
+dict lookups, keyed by (left, given) and (left, right|given), so its
+contraction work is proportional to the pairs it forms, not to the
+number of statements sharing the left set, which a scan would touch.
+
 Two further rules are accepted in replayed derivations but never used
 generatively.  The partition rule turns block-versus-rest splits of a
 common ground set into any split along the meet of those partitions.
@@ -15,7 +22,6 @@ with a prime suffix) to the right-hand side.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -277,12 +283,6 @@ class Closure:
         return Derivation(self.ground, self.axioms, tuple(steps))
 
 
-def _proper_subsets(symbols: frozenset[str]):
-    ordered = sorted(symbols)
-    for size in range(1, len(ordered)):
-        yield from (frozenset(c) for c in itertools.combinations(ordered, size))
-
-
 def semigraphoid_closure(
     axioms: Iterable[CIStatement],
     ground: Iterable[str],
@@ -295,68 +295,73 @@ def semigraphoid_closure(
     ``complete`` flag cleared) attached.
     """
     ground = tuple(sorted(set(ground)))
-    ground_set = set(ground)
+    bit = {s: 1 << i for i, s in enumerate(ground)}
     axioms = tuple(dict.fromkeys(axioms))
     for a in axioms:
-        stray = a.symbols - ground_set
+        stray = a.symbols - bit.keys()
         if stray:
             raise UnknownWire(f"axiom uses symbols outside ground: {sorted(stray)}")
 
-    provenance: dict[CIStatement, Provenance] = {}
-    by_left: dict[frozenset[str], list[CIStatement]] = {}
-    queue: deque[CIStatement] = deque()
-    derived = 0
+    # statement k is triples[k], a (left, right, given) triple of bitmasks
+    # over ground, derived by origin[triples[k]] = (rule, premise numbers)
+    triples: list[tuple[int, int, int]] = []
+    origin: dict[tuple[int, int, int], tuple[str, tuple[int, ...]]] = {}
+    by_lg: dict[tuple[int, int], list[int]] = {}
+    by_lrg: dict[tuple[int, int], list[int]] = {}
+    splits: dict[int, list[tuple[int, int]]] = {}
 
-    def partial() -> Closure:
-        return Closure(
-            statements=frozenset(provenance),
-            complete=False,
-            ground=ground,
-            axioms=axioms,
-            provenance=dict(provenance),
-        )
+    def close(complete: bool) -> Closure:
+        masks = {m for t in triples[len(axioms) :] for m in t}
+        names = {m: frozenset(s for s in ground if m & bit[s]) for m in masks}
+        stmts = list(axioms) + [
+            CIStatement(names[l], names[r], names[g])
+            for l, r, g in triples[len(axioms) :]
+        ]
+        provenance = {
+            s: (rule, tuple(stmts[i] for i in premises))
+            for s, (rule, premises) in zip(stmts, origin.values())
+        }
+        return Closure(frozenset(stmts), complete, ground, axioms, provenance)
 
-    def admit(stmt: CIStatement, rule: str, premises: tuple[CIStatement, ...]):
-        nonlocal derived
-        if stmt in provenance:
+    def admit(t: tuple[int, int, int], rule: str, premises: tuple[int, ...]):
+        if t in origin:
             return
-        if rule != "axiom":
-            if derived >= budget:
-                raise BudgetExceeded(
-                    f"closure budget of {budget} exhausted", partial=partial()
-                )
-            derived += 1
-        provenance[stmt] = (rule, premises)
-        by_left.setdefault(stmt.left, []).append(stmt)
-        queue.append(stmt)
+        if rule != "axiom" and len(triples) - len(axioms) >= budget:
+            raise BudgetExceeded(
+                f"closure budget of {budget} exhausted", partial=close(False)
+            )
+        origin[t] = (rule, premises)
+        l, r, g = t
+        by_lg.setdefault((l, g), []).append(len(triples))
+        by_lrg.setdefault((l, r | g), []).append(len(triples))
+        triples.append(t)
 
     for a in axioms:
-        admit(a, "axiom", ())
+        sides = (a.left, a.right, a.given)
+        admit(tuple(sum(bit[s] for s in x) for x in sides), "axiom", ())
 
-    while queue:
-        s = queue.popleft()
-        admit(s.swapped(), "symmetry", (s,))
-        for x1 in _proper_subsets(s.left):
-            admit(CIStatement(x1, s.right, s.given), "decomposition", (s,))
-            admit(
-                CIStatement(x1, s.right, s.given | (s.left - x1)),
-                "weak_union",
-                (s,),
-            )
-        # contraction partners share their left set; a statement can never
-        # pair with itself since its right side is disjoint from its given
-        for t in list(by_left.get(s.left, ())):
-            for p1, p2 in ((s, t), (t, s)):
-                if p1.given == p2.right | p2.given:
-                    admit(
-                        CIStatement(p2.left, p2.right | p1.right, p2.given),
-                        "contraction",
-                        (p1, p2),
-                    )
-    return Closure(
-        statements=frozenset(provenance),
-        complete=True,
-        ground=ground,
-        axioms=axioms,
-        provenance=provenance,
-    )
+    # a FIFO queue: the walk reaches the statements admitted while it runs
+    for k, (l, r, g) in enumerate(triples):
+        admit((r, l, g), "symmetry", (k,))
+        if l not in splits:
+            # proper subsets of the left side by size, then lexicographically
+            ones = [b for b in bit.values() if l & b]
+            splits[l] = [
+                (x, l ^ x)
+                for size in range(1, len(ones))
+                for x in map(sum, itertools.combinations(ones, size))
+            ]
+        for x, rest in splits[l]:
+            admit((x, r, g), "decomposition", (k,))
+            admit((x, r, g | rest), "weak_union", (k,))
+        # contraction: X _||_ Y | Z,W and X _||_ Z | W give X _||_ Y,Z | W.
+        # Partners t share the left side; k is the first premise when
+        # t.right|t.given == g, the second when t.given == r|g.  Neither
+        # index holds k itself, and none holds a statement twice.
+        for j in sorted(by_lrg.get((l, g), []) + by_lg.get((l, r | g), [])):
+            _, rj, gj = triples[j]
+            if rj | gj == g:
+                admit((l, rj | r, gj), "contraction", (k, j))
+            else:
+                admit((l, r | rj, g), "contraction", (j, k))
+    return close(True)

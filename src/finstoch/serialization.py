@@ -9,6 +9,7 @@ order then element order, and likewise for the columns.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Mapping
 
 import numpy as np
@@ -22,16 +23,19 @@ from .quantiles import Breakpoint, QuantileFunction
 from .semigraphoid import CIStatement, Derivation, DerivationStep
 
 
-def _get(obj: Any, key: str, where: str, kind: type = object) -> Any:
-    """Field key of the object obj, required to be of type kind."""
+_NOUNS = {list: "a list", str: "a string", int: "an integer", (int, float): "a number"}
+
+
+def _get(obj: Any, key: str, where: str, kind: Any = object) -> Any:
+    """Field key of the object obj, of type kind; a number is never a boolean."""
     if not isinstance(obj, Mapping):
         raise ShapeMismatch(f"{where}: expected an object")
     if key not in obj:
         raise ShapeMismatch(f"{where}: missing field {key!r}")
-    if not isinstance(obj[key], kind):
-        noun = "a list" if kind is list else "an object"
-        raise ShapeMismatch(f"{where}.{key}: expected {noun}")
-    return obj[key]
+    value = obj[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind in _NOUNS):
+        raise ShapeMismatch(f"{where}.{key}: expected {_NOUNS.get(kind, 'an object')}")
+    return value
 
 
 def _strings(value: Any, where: str) -> list[str]:
@@ -45,10 +49,8 @@ def finset_to_json(fs: FinSet) -> dict:
 
 
 def finset_from_json(obj: Any, where: str = "carrier") -> FinSet:
-    label = _get(obj, "label", where)
+    label = _get(obj, "label", where, str)
     elements = _strings(_get(obj, "elements", where), f"{where}.elements")
-    if not isinstance(label, str):
-        raise ShapeMismatch(f"{where}.label: expected a string")
     return FinSet(label, tuple(elements))
 
 
@@ -72,7 +74,10 @@ def kernel_from_json(obj: Any, atol: float = DEFAULT_ATOL, where: str = "kernel"
     rows = _get(obj, "rows", where, list)
     try:
         mat = np.asarray(rows)
-        if mat.dtype.kind not in "fiu":
+        # numpy reads a JSON true among numbers as 1.0; one pass finds it
+        if mat.dtype.kind not in "fiu" or (
+            mat.ndim == 2 and bool in map(type, itertools.chain.from_iterable(rows))
+        ):
             raise ShapeMismatch("expected rows of numbers")
         return Kernel(tuple(dom), tuple(cod), mat, atol)
     except (FinstochError, TypeError, ValueError) as e:
@@ -110,9 +115,7 @@ def model_from_json(obj: Any, where: str = "model") -> CausalModel:
     boxes = []
     for i, b in enumerate(_get(obj, "boxes", where, list)):
         bw = f"{where}.boxes[{i}]"
-        name = _get(b, "name", bw)
-        if not isinstance(name, str):
-            raise ShapeMismatch(f"{bw}.name: expected a string")
+        name = _get(b, "name", bw, str)
         boxes.append(
             Box(
                 name,
@@ -176,12 +179,7 @@ def ahspec_from_json(obj: Any, atol: float = DEFAULT_ATOL, where: str = "spec") 
         name: kernel_from_json(_get(obj, name, where), atol, f"{where}.{name}")
         for name in ("q", "f", "g", "h")
     }
-    dims = {}
-    for name in ("rows", "cols"):
-        value = _get(obj, name, where)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ShapeMismatch(f"{where}.{name}: expected an integer")
-        dims[name] = value
+    dims = {name: _get(obj, name, where, int) for name in ("rows", "cols")}
     try:
         return AHSpec(**kernels, **dims)
     except FinstochError as e:
@@ -201,11 +199,7 @@ def statement_from_json(obj: Any, where: str = "statement") -> CIStatement:
         return CIStatement(
             frozenset(_strings(_get(obj, "left", where), f"{where}.left")),
             frozenset(_strings(_get(obj, "right", where), f"{where}.right")),
-            frozenset(
-                _strings(obj.get("given", []), f"{where}.given")
-                if isinstance(obj, Mapping)
-                else []
-            ),
+            frozenset(_strings(obj.get("given", []), f"{where}.given")),
         )
     except FinstochError as e:
         raise ShapeMismatch(f"{where}: {e}") from e
@@ -235,10 +229,8 @@ def derivation_from_json(obj: Any, where: str = "derivation") -> Derivation:
     steps = []
     for i, s in enumerate(_get(obj, "steps", where, list)):
         sw = f"{where}.steps[{i}]"
-        rule = _get(s, "rule", sw)
+        rule = _get(s, "rule", sw, str)
         premises = _get(s, "premises", sw)
-        if not isinstance(rule, str):
-            raise ShapeMismatch(f"{sw}.rule: expected a string")
         if not isinstance(premises, list) or not all(
             isinstance(k, int) and not isinstance(k, bool) for k in premises
         ):
@@ -284,13 +276,8 @@ def quantile_from_json(
             raise ShapeMismatch(f"{where}.rows[{i}]: expected a list")
         for k, bp in enumerate(row):
             bw = f"{where}.rows[{i}][{k}]"
-            upper = _get(bp, "upper", bw)
-            value = _get(bp, "value", bw)
-            if isinstance(upper, bool) or not isinstance(upper, (int, float)):
-                raise ShapeMismatch(f"{bw}.upper: expected a number")
-            if not isinstance(value, str):
-                raise ShapeMismatch(f"{bw}.value: expected a string")
-            parsed.append(Breakpoint(float(upper), value))
+            upper = _get(bp, "upper", bw, (int, float))
+            parsed.append(Breakpoint(float(upper), _get(bp, "value", bw, str)))
         rows.append(tuple(parsed))
     try:
         return QuantileFunction(dom, cod, order, tuple(rows), atol)

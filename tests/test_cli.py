@@ -443,6 +443,18 @@ def test_noise_outsource_reports_and_writes(tmp_path, capsys):
     assert code == 2
 
 
+def test_noise_outsource_rejects_booleans_among_numeric_rows(tmp_path, capsys):
+    # numpy reads true as 1.0, which would load this kernel as the identity
+    a = carrier("a", 2)
+    doc = kernel_to_json(Kernel((a,), (a,), np.eye(2)))
+    doc["rows"] = [[True, 0.0], [0.0, 1.0]]
+    kf = write(tmp_path, "bools.json", doc)
+    code, out, err = run(capsys, ["noise-outsource", kf])
+    assert code == 2
+    assert out == []
+    assert "bools.json" in err and "rows" in err
+
+
 def test_check_cs_lines(tmp_path, capsys):
     rng = np.random.default_rng(29)
     a, y = carrier("a", 3), carrier("y", 2)

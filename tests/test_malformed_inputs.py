@@ -1,4 +1,5 @@
-"""Every subcommand exits 2 naming the file when a field has the wrong JSON type."""
+"""Every subcommand exits 2 naming the file when a field or a list item has
+the wrong JSON type."""
 
 import contextlib
 import io
@@ -84,15 +85,12 @@ def _kind(value) -> str:
     return {str: "string", list: "array", dict: "object"}[type(value)]
 
 
-def _fields(doc, path=()):
-    """Paths to every object field nested in doc."""
-    if isinstance(doc, dict):
-        for key, value in doc.items():
+def _paths(doc, path=()):
+    """Paths to every object field and list item nested in doc."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
             yield path + (key,)
-            yield from _fields(value, path + (key,))
-    elif isinstance(doc, list):
-        for i, value in enumerate(doc):
-            yield from _fields(value, path + (i,))
+            yield from _paths(value, path + (key,))
 
 
 def _replace(doc, path, value):
@@ -134,7 +132,12 @@ def test_the_valid_documents_are_accepted(command, tmp_path):
 def test_a_field_of_another_json_type_exits_2_naming_the_file(command, data, workdir):
     docs, argv = CASES[command]
     name = data.draw(st.sampled_from(sorted(docs)), label="file")
-    path = data.draw(st.sampled_from([()] + list(_fields(docs[name]))), label="field")
+    paths = list(_paths(docs[name]))
+    # whole document or object field, else one list item: a row entry,
+    # a wire name, a premise index
+    fields = st.sampled_from([()] + [p for p in paths if isinstance(p[-1], str)])
+    items = [p for p in paths if isinstance(p[-1], int)]
+    path = data.draw(fields | st.sampled_from(items) if items else fields, label="path")
     old = docs[name]
     for key in path:
         old = old[key]

@@ -221,15 +221,22 @@ def test_expand_grid_box_wiring():
     assert t["eta[1,1]"] == 3
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_expand_supported_sizes_validate(n):
     assert validate_model(expand_ah_model(n)) == []
 
 
-@pytest.mark.parametrize("n", [0, 9, -1])
+@pytest.mark.parametrize("n", [0, 9, -1, 7])
 def test_expand_rejects_out_of_range_sizes(n):
     with pytest.raises(SizeLimit):
         expand_ah_model(n)
+
+
+def test_expand_wire_cap_on_a_rectangular_grid():
+    # T, 2 row tails, 16 column tails and 32 entries: 51 wires
+    assert validate_model(expand_ah_model(2, 16)) == []
+    with pytest.raises(SizeLimit, match="wires at most 52"):
+        expand_ah_model(2, 17)
 
 
 def test_model_lookup_helpers():

@@ -3,8 +3,12 @@
 import json
 from importlib import resources
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from finstoch import (
     BudgetExceeded,
@@ -265,6 +269,70 @@ def test_closure_derivations_replay_for_every_statement():
     for s in c.statements:
         rep = validate_derivation(c.derivation(s))
         assert rep.ok, str(s)
+
+
+def _chain_axioms(names):
+    """X[<k] _||_ X[>k] | X[k] for every inner position k of a Markov chain."""
+    return [st(names[:k], names[k + 1 :], [names[k]]) for k in range(1, len(names) - 1)]
+
+
+def _images(s):
+    """Conclusions of the four closure rules with s as the only premise."""
+    yield s.swapped()
+    for n in range(1, len(s.left)):
+        for x in itertools.combinations(sorted(s.left), n):
+            yield st(x, s.right, s.given)
+            yield st(x, s.right, s.given | (s.left - set(x)))
+
+
+@hs.composite
+def _axiom_sets(draw):
+    syms = "abcde"[: draw(hs.sampled_from([5, 4, 3, 2]))]
+    axioms = []
+    for _ in range(draw(hs.integers(1, 3))):
+        left = draw(hs.sets(hs.sampled_from(syms), min_size=1, max_size=len(syms) - 1))
+        rest = [x for x in syms if x not in left]
+        right = draw(hs.sets(hs.sampled_from(rest), min_size=1))
+        cond = [x for x in rest if x not in right and draw(hs.booleans())]
+        axioms.append(st(left, right, cond))
+    return axioms, syms
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_axiom_sets())
+def test_closure_is_closed_under_the_four_rules(case):
+    axioms, syms = case
+    c = semigraphoid_closure(axioms, syms)
+    assert c.complete and set(axioms) <= c.statements
+    by_left = {}
+    for s in c.statements:
+        assert set(_images(s)) <= c.statements, str(s)
+        by_left.setdefault(s.left, []).append(s)
+        assert validate_derivation(c.derivation(s)).ok, str(s)
+    for group in by_left.values():
+        for p1, p2 in itertools.product(group, repeat=2):
+            if p1.given == p2.right | p2.given:
+                assert st(p2.left, p2.right | p1.right, p2.given) in c.statements
+
+
+def test_partial_closures_grow_with_the_budget():
+    axioms = _chain_axioms("abcdef")
+    partial = []
+    for budget in range(22):
+        with pytest.raises(BudgetExceeded) as excinfo:
+            semigraphoid_closure(axioms, "abcdef", budget=budget)
+        partial.append(excinfo.value.partial)
+        assert len(partial[-1].statements) == len(axioms) + budget
+    for smaller, larger in zip(partial, partial[1:]):
+        assert smaller.statements < larger.statements
+
+
+def test_eight_symbol_markov_chain_closure_is_complete():
+    c = semigraphoid_closure(_chain_axioms("abcdefgh"), "abcdefgh")
+    assert c.complete
+    assert len(c.statements) == 9422
+    # the ends of the chain are independent given any one inner symbol
+    assert st("a", "h", "d") in c.statements
 
 
 def test_closure_derivation_of_unknown_statement_fails():
