@@ -125,6 +125,12 @@ class Kernel:
         return self.matrix.reshape(self.dom_shape + self.cod_shape)
 
 
+def _check_entries(n: int, max_entries: float = MAX_ENTRIES) -> None:
+    """The one entry cap: SizeLimit when an array of n entries is too large."""
+    if n > max_entries:
+        raise SizeLimit(f"{n} entries exceed the cap of {max_entries}")
+
+
 def contract(
     operands: Iterable[tuple[np.ndarray, Sequence[Hashable]]],
     out: Iterable[Hashable],
@@ -149,8 +155,7 @@ def contract(
             size[label] = n
         args += [arr, [index[label] for label in labels]]
     out = list(out)
-    if math.prod(size[label] for label in out) > max_entries:
-        raise SizeLimit(f"joint state exceeds {max_entries} entries")
+    _check_entries(math.prod(size[label] for label in out), max_entries)
     return np.einsum(*args, [index[label] for label in out], optimize=True)
 
 
@@ -163,6 +168,20 @@ def max_abs_diff(f: Kernel, g: Kernel) -> float:
     return float(np.max(np.abs(f.matrix - g.matrix)))
 
 
+def _point_masses(dom: Factors, cod: Factors, cols: Callable[[np.ndarray], Sequence[int]]) -> Kernel:
+    """Kernel whose row i is a point mass on column ``cols(rows)[i]``.
+
+    cols runs only once the entry cap has passed, so no index array is
+    built for a kernel too large to allocate.
+    """
+    n, width = _flat_size(dom), _flat_size(cod)
+    _check_entries(n * width)
+    mat = np.zeros((n, width))
+    rows = np.arange(n)
+    mat[rows, cols(rows)] = 1.0
+    return Kernel(dom, cod, mat)
+
+
 def deterministic_kernel(
     dom: FinSet | Iterable[FinSet],
     cod: FinSet | Iterable[FinSet],
@@ -171,50 +190,45 @@ def deterministic_kernel(
     """Kernel whose rows are point masses given by ``fn`` on element tuples."""
     dom = _factors(dom)
     cod = _factors(cod)
-    mat = np.zeros((_flat_size(dom), _flat_size(cod)))
-    cod_shape = _shape(cod)
-    for i, xs in enumerate(itertools.product(*(f.elements for f in dom))):
-        ys = tuple(fn(xs))
-        if len(ys) != len(cod):
-            raise ShapeMismatch(
-                f"map returned {len(ys)} values for {len(cod)} codomain factors"
-            )
-        idx = tuple(f.index(y) for f, y in zip(cod, ys))
-        j = int(np.ravel_multi_index(idx, cod_shape)) if cod else 0
-        mat[i, j] = 1.0
-    return Kernel(dom, cod, mat)
+
+    def cols(_) -> list[int]:
+        col = {ys: j for j, ys in enumerate(itertools.product(*(f.elements for f in cod)))}
+        out = []
+        for xs in itertools.product(*(f.elements for f in dom)):
+            ys = tuple(fn(xs))
+            if len(ys) != len(cod):
+                raise ShapeMismatch(
+                    f"map returned {len(ys)} values for {len(cod)} codomain factors"
+                )
+            if ys not in col:
+                for f, y in zip(cod, ys):
+                    f.index(y)  # raises, naming the carrier y is not in
+            out.append(col[ys])
+        return out
+
+    return _point_masses(dom, cod, cols)
 
 
 def identity(factors: FinSet | Iterable[FinSet]) -> Kernel:
-    return deterministic_kernel(factors, factors, lambda xs: xs)
+    fs = _factors(factors)
+    return _point_masses(fs, fs, lambda i: i)
 
 
 def copy_kernel(factors: FinSet | Iterable[FinSet]) -> Kernel:
     fs = _factors(factors)
-    return deterministic_kernel(fs, fs + fs, lambda xs: xs + xs)
+    n = _flat_size(fs)
+    return _point_masses(fs, fs + fs, lambda i: i * (n + 1))
 
 
 def discard_kernel(factors: FinSet | Iterable[FinSet]) -> Kernel:
-    return deterministic_kernel(factors, (), lambda xs: ())
+    return _point_masses(_factors(factors), (), np.zeros_like)
 
 
-def swap_kernel(x: FinSet, y: FinSet) -> Kernel:
-    return deterministic_kernel((x, y), (y, x), lambda xs: (xs[1], xs[0]))
-
-
-def structural(kind: str, carrier: FinSet, second: FinSet | None = None) -> Kernel:
-    """Dispatch for the structural kernels: copy, discard, swap, identity."""
-    if kind == "copy":
-        return copy_kernel(carrier)
-    if kind == "discard":
-        return discard_kernel(carrier)
-    if kind == "identity":
-        return identity(carrier)
-    if kind == "swap":
-        if second is None:
-            raise ShapeMismatch("swap needs a second carrier")
-        return swap_kernel(carrier, second)
-    raise ShapeMismatch(f"unknown structural kind {kind!r}")
+def swap_kernel(x: FinSet | Iterable[FinSet], y: FinSet | Iterable[FinSet]) -> Kernel:
+    xs, ys = _factors(x), _factors(y)
+    nx, ny = _flat_size(xs), _flat_size(ys)
+    # row (a, b) is a * ny + b; its column (b, a) is b * nx + a
+    return _point_masses(xs + ys, ys + xs, lambda i: i % ny * nx + i // ny)
 
 
 def uniform_state(factors: FinSet | Iterable[FinSet]) -> Kernel:

@@ -11,7 +11,6 @@ latent expansion all live here.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -184,48 +183,36 @@ def topo_order(m: CausalModel) -> list[Box]:
     return [m.box(n) for n in order]
 
 
-def _node_successors(m: CausalModel) -> dict[str, list[str]]:
-    succ: dict[str, list[str]] = {}
+def _reachable(m: CausalModel, start: str) -> set[str]:
+    """Boxes and wires reachable from start, start included."""
+    succ: dict[str, list[str]] = {w: [] for w in m.wires}
     for b in m.boxes:
         succ.setdefault(b.name, []).extend(b.out_wires)
         for w in b.in_wires:
             succ.setdefault(w, []).append(b.name)
-    for w in m.wires:
-        succ.setdefault(w, [])
-    return succ
+    seen = {start}
+    stack = [start]
+    while stack:
+        for t in succ[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
 
 
 def reaches(m: CausalModel, a: str, b: str) -> bool:
     """Reflexive transitive reachability over boxes and wires."""
-    succ = _node_successors(m)
+    nodes = {x.name for x in m.boxes}.union(m.wires)
     for n in (a, b):
-        if n not in succ:
+        if n not in nodes:
             raise UnknownNode(f"no box or wire named {n!r}")
-    frontier = deque([a])
-    seen = {a}
-    while frontier:
-        n = frontier.popleft()
-        if n == b:
-            return True
-        for t in succ[n]:
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return False
+    return b in _reachable(m, a)
 
 
 def non_descendants(m: CausalModel, box: str) -> frozenset[str]:
     """Wires the box cannot reach, not even through other boxes."""
     m.box(box)
-    succ = _node_successors(m)
-    frontier = deque([box])
-    seen = {box}
-    while frontier:
-        n = frontier.popleft()
-        for t in succ[n]:
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
+    seen = _reachable(m, box)
     return frozenset(w for w in m.wires if w not in seen)
 
 

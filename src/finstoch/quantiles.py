@@ -18,14 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainMismatch, ShapeMismatch
-from .kernels import (
-    DEFAULT_ATOL,
-    FinSet,
-    Kernel,
-    _factors,
-    _flat_size,
-    deterministic_kernel,
-)
+from .kernels import DEFAULT_ATOL, FinSet, Kernel, _factors, _flat_size, _point_masses
 
 
 @dataclass(frozen=True)
@@ -61,11 +54,12 @@ class QuantileFunction:
             if not row:
                 raise ShapeMismatch("a row has no breakpoints")
             uppers = [bp.upper for bp in row]
-            if any(u <= 0.0 for u in uppers) or any(
-                b <= a for a, b in itertools.pairwise(uppers)
+            # written so that a NaN breakpoint or tolerance fails each test
+            if not uppers[0] > 0.0 or not all(
+                b > a for a, b in itertools.pairwise(uppers)
             ):
                 raise ShapeMismatch("breakpoints must increase from 0 to 1")
-            if abs(uppers[-1] - 1.0) > atol:
+            if not abs(uppers[-1] - 1.0) <= atol:
                 raise ShapeMismatch(
                     f"final breakpoint {uppers[-1]!r} is not 1"
                 )
@@ -147,16 +141,24 @@ def outsourced_form(
     cells = FinSet(seed_label, tuple(f"u{k}" for k in range(1, len(uppers) + 1)))
     probs = np.diff([0.0] + uppers)
     seed = Kernel.state(probs / probs.sum(), cells)
-    dom_index = {
-        xs: i
-        for i, xs in enumerate(
-            itertools.product(*(c.elements for c in qf.dom))
-        )
-    }
 
-    def cell_value(args: tuple[str, ...]) -> tuple[str]:
-        r = uppers[cells.index(args[0])]
-        return (qf.value_at(dom_index[args[1:]], r),)
+    def cols(_) -> np.ndarray:
+        # value_at for every (input, seed cell) pair, one searchsorted per input
+        table = np.empty((len(qf.rows), len(uppers)), dtype=np.intp)
+        for x, row in enumerate(qf.rows):
+            k = np.searchsorted([bp.upper for bp in row], uppers)
+            values = np.array([qf.cod.index(bp.value) for bp in row])
+            table[x] = values[np.minimum(k, len(row) - 1)]
+        return table.T.ravel()  # mechanism rows run over (seed cell, input)
 
-    mech = deterministic_kernel((cells,) + qf.dom, f.cod, cell_value)
-    return seed, mech
+    return seed, _point_masses((cells,) + qf.dom, f.cod, cols)
+
+
+def outsourced_residual(f: Kernel, seed: Kernel, mech: Kernel) -> float:
+    """Largest deviation from f of Σᵤ seed(u)·mech(u,x,·), the composite of
+    mech after seed ⊗ identity, summed without building seed ⊗ identity."""
+    if seed.dom or mech.dom != seed.cod + f.dom or mech.cod != f.cod:
+        raise DomainMismatch("seed and mechanism do not match the kernel's interface")
+    mech3 = mech.matrix.reshape(seed.matrix.shape[1], *f.matrix.shape)
+    composite = np.einsum("u,uxy->xy", seed.matrix[0], mech3)
+    return float(np.abs(composite - f.matrix).max())

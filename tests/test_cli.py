@@ -1,6 +1,7 @@
 """Command line contract: report lines, exit codes, file handling."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -441,6 +442,25 @@ def test_noise_outsource_reports_and_writes(tmp_path, capsys):
     assert code == 0
     code, _, err = run(capsys, ["noise-outsource", kf, "--order", "3,1"])
     assert code == 2
+
+
+def test_noise_outsource_over_the_entry_cap_exits_2_before_the_mechanism(tmp_path, capsys):
+    # 200 dense rows of 8 values cut [0,1] into 200*7+1 seed cells, so the
+    # mechanism would have 280,200 rows of 8 entries, past MAX_ENTRIES
+    rng = np.random.default_rng(30)
+    f = random_kernel(rng, carrier("a", 200), carrier("y", 8))
+    kf = write(tmp_path, "dense.json", kernel_to_json(f))
+    mech_bytes = 280_200 * 8 * 8
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["noise-outsource", kf])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == []
+    assert "dense.json" in err
+    assert peak < mech_bytes / 8
 
 
 def test_noise_outsource_rejects_booleans_among_numeric_rows(tmp_path, capsys):

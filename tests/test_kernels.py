@@ -1,6 +1,7 @@
 """Kernel algebra: composition, tensor, structure maps, conditionals."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from finstoch import (
     Kernel,
     ParamMismatch,
     ShapeMismatch,
+    SizeLimit,
     as_equal,
     as_equal_residual,
     compose,
@@ -32,7 +34,6 @@ from finstoch import (
     parametric_tensor,
     ParamKernel,
     reindex,
-    structural,
     swap_kernel,
     tensor,
     uniform_state,
@@ -174,13 +175,47 @@ def test_swap_moves_coordinates():
             assert arr[i, j, j, i] == 1.0
 
 
-def test_structural_dispatch():
-    assert max_abs_diff(structural("copy", A), copy_kernel(A)) == 0.0
-    assert max_abs_diff(structural("swap", A, B), swap_kernel(A, B)) == 0.0
-    with pytest.raises(ShapeMismatch):
-        structural("swap", A)
-    with pytest.raises(ShapeMismatch):
-        structural("mystery", A)
+STRUCTURE_FACTORS = [(), (A,), (A, carrier("D", 3)), (carrier("D", 3), B, C)]
+
+
+@pytest.mark.parametrize("fs", STRUCTURE_FACTORS, ids=["empty", "one", "two", "three"])
+def test_structure_maps_equal_their_numpy_matrices(fs):
+    n = math.prod(f.size for f in fs)
+    eye = np.eye(n)
+    assert identity(fs).dom == fs and identity(fs).cod == fs
+    assert np.array_equal(identity(fs).matrix, eye)
+    cp = copy_kernel(fs)
+    assert cp.cod == fs + fs
+    assert np.array_equal(cp.matrix, np.einsum("ij,ik->ijk", eye, eye).reshape(n, n * n))
+    assert discard_kernel(fs).cod == ()
+    assert np.array_equal(discard_kernel(fs).matrix, np.ones((n, 1)))
+    for gs in STRUCTURE_FACTORS:
+        m = math.prod(g.size for g in gs)
+        sw = swap_kernel(fs, gs)
+        assert sw.dom == fs + gs and sw.cod == gs + fs
+        # entry ((a, b), (b', a')) is [a = a'][b = b']
+        ref = np.eye(n * m).reshape(n, m, n, m).transpose(0, 1, 3, 2)
+        assert np.array_equal(sw.matrix, ref.reshape(n * m, m * n))
+
+
+def test_point_mass_kernels_share_the_entry_cap():
+    big = carrier("N", 1025)  # 1025² entries exceed 2²⁰
+    for build in (
+        lambda: identity(big),
+        lambda: copy_kernel(carrier("N", 102)),  # 102³ entries
+        lambda: swap_kernel(big, big),
+        lambda: deterministic_kernel(big, big, lambda xs: xs),
+        # 2⁴⁰ rows: the cap must fire before any row index exists
+        lambda: discard_kernel([carrier(f"b{k}", 2) for k in range(40)]),
+    ):
+        with pytest.raises(SizeLimit):
+            build()
+
+
+def test_deterministic_kernel_names_the_carrier_a_value_is_missing_from():
+    d = carrier("D", 3)
+    with pytest.raises(ShapeMismatch, match="carrier 'D'"):
+        deterministic_kernel(A, (A, d), lambda xs: (xs[0], "7"))
 
 
 def test_comonoid_laws_exact():

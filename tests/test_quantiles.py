@@ -14,6 +14,7 @@ from finstoch import (
     is_deterministic,
     max_abs_diff,
     outsourced_form,
+    outsourced_residual,
     pushforward_residual,
     quantile_pushback,
     tensor,
@@ -104,6 +105,19 @@ def test_staircase_validation():
         )
 
 
+def test_nan_breakpoints_and_tolerances_fail_the_staircase_checks():
+    nan = float("nan")
+    for row in (
+        (Breakpoint(nan, "0"), Breakpoint(1.0, "1")),
+        (Breakpoint(0.3, "0"), Breakpoint(nan, "1")),
+    ):
+        with pytest.raises(ShapeMismatch):
+            QuantileFunction((), BIT, ("0", "1"), (row,))
+    good = ((Breakpoint(0.3, "0"), Breakpoint(1.0, "1")),)
+    with pytest.raises(ShapeMismatch):
+        QuantileFunction((), BIT, ("0", "1"), good, nan)
+
+
 def test_pushforward_reproduces_the_kernel():
     rng = np.random.default_rng(2)
     a = random_carrier(rng, "a", 2, 4)
@@ -169,3 +183,35 @@ def test_deterministic_kernels_need_one_cell():
     seed, mech = outsourced_form(f, ("0", "1"))
     assert seed.cod[0].size == 1
     assert max_abs_diff(compose(mech, tensor(seed, identity(BIT))), f) == 0.0
+
+
+def test_outsourced_mechanism_is_value_at_on_every_seed_cell():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        dom = tuple(random_carrier(rng, l, 1, 4) for l in "ab"[: rng.integers(1, 3)])
+        y = random_carrier(rng, "y", 2, 6)
+        f = random_kernel(rng, dom, y, zero_frac=0.3)
+        order = list(rng.permutation(y.elements))
+        qf = quantile_pushback(f, order)
+        seed, mech = outsourced_form(f, order)
+        uppers = sorted({bp.upper for row in qf.rows for bp in row})
+        nx = len(qf.rows)
+        ref = np.zeros((len(uppers) * nx, y.size))
+        for u, r in enumerate(uppers):
+            for x in range(nx):
+                ref[u * nx + x, y.index(qf.value_at(x, r))] = 1.0
+        assert np.array_equal(mech.matrix, ref)
+
+
+def test_outsourced_residual_sees_one_corrupted_row():
+    rng = np.random.default_rng(6)
+    f = random_kernel(rng, (carrier("a", 3), carrier("b", 2)), carrier("y", 4), zero_frac=0.2)
+    seed, mech = outsourced_form(f, ("0", "1", "2", "3"))
+    dense = compose(mech, tensor(seed, identity(f.dom)))
+    assert outsourced_residual(f, seed, mech) <= 1e-12
+    assert outsourced_residual(f, seed, mech) == pytest.approx(max_abs_diff(dense, f), abs=1e-15)
+    rows = mech.matrix.copy()
+    rows[4] = np.roll(rows[4], 1)
+    assert outsourced_residual(f, seed, Kernel(mech.dom, mech.cod, rows)) > 1e-6
+    with pytest.raises(DomainMismatch):
+        outsourced_residual(f, seed, identity(mech.dom))

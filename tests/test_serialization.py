@@ -193,3 +193,14 @@ def test_scalar_type_checks_reject_booleans():
     q["rows"][0][0]["upper"] = True
     with pytest.raises(ShapeMismatch, match=r"rows\[0\]\[0\]\.upper"):
         quantile_from_json(q)
+
+
+def test_nan_quantile_breakpoints_are_rejected_naming_the_quantile():
+    q = quantile_to_json(
+        quantile_pushback(Kernel.state([0.3, 0.7], carrier("x", 2)), ("0", "1"))
+    )
+    for k in (0, 1):
+        bad = json.loads(json.dumps(q))
+        bad["rows"][0][k]["upper"] = float("nan")
+        with pytest.raises(ShapeMismatch, match="quantile"):
+            quantile_from_json(json.loads(json.dumps(bad)))
