@@ -1,11 +1,14 @@
 """Numeric conditional-independence checks on joint states.
 
-Independence of wire groups X and Y given W is checked constructively:
-conditional kernels of the (X,W) and (Y,W) marginals given W are
-recomposed with the W marginal and compared entrywise to the (X,Y,W)
-marginal.  Conditioning cells of mass exactly 0 get uniform
-conditionals and recompose to zero either way, so the comparison is
-exact on support.
+Joint independence of wire groups X_1..X_k given W is checked on the
+raw (X_1..X_k, W) marginal of the state: the residual is the largest
+|p(x_1..x_k, w) - p(x_b, w) * prod_{i != b} p(x_i | w)| over cells, with
+the largest part X_b kept as a joint marginal.  A conditioning cell has
+zero mass when p(w) is exactly 0; its conditionals are uniform and its
+recomposition is exactly 0, so the comparison is exact on support.  A
+statement validates nothing and allocates at most three arrays the size
+of the marginal, where validated marginalize/reindex states took seven
+and four validation passes.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NotAPartition, WireOverlap
-from .kernels import DEFAULT_ATOL, JointState, _normalize, marginalize, reindex
+from .kernels import DEFAULT_ATOL, JointState, _marginal, _normalize
 
 WireGroup = Iterable[str]
 
@@ -44,21 +47,26 @@ def mutual_ci_residual(
     first.  With two parts this is the usual binary conditional
     independence residual.
     """
-    *ordered_parts, ordered_given = _as_groups(p, parts, given)
-    flat = [w for g in ordered_parts for w in g] + ordered_given
-    q = reindex(marginalize(p, flat), flat)
-    sizes = [
-        math.prod(q.carrier(w).size for w in g) for g in ordered_parts
-    ]
-    nw = math.prod(q.carrier(w).size for w in ordered_given)
-    arr = q.array.reshape(sizes + [nw])
-    k = len(sizes)
-    recomposed = arr.sum(axis=tuple(range(k)))
+    groups = _as_groups(p, parts, given)  # the parts, then the given wires
+    k = len(groups) - 1
+    sizes = [math.prod(p.carrier(w).size for w in g) for g in groups]
+    order = sorted(range(k + 1), key=sizes.__getitem__)  # largest group innermost
+    axis = [order.index(j) for j in range(k + 1)]
+    flat = [w for j in order for w in groups[j]]
+    arr = _marginal(p.array, p.wire_names, flat).reshape([sizes[j] for j in order])
+    big = max(range(k), key=sizes.__getitem__, default=k)
+
+    def part(i: int) -> np.ndarray:  # p(x_i, w), broadcastable against arr
+        return arr.sum(axis=tuple(axis[j] for j in range(k) if j != i), keepdims=True)
+
+    recomposed = part(big)
+    # zero mass: where p(w) is exactly 0 the recomposition is exactly 0
+    np.copyto(recomposed, 0.0, where=recomposed.sum(axis=axis[big], keepdims=True) == 0.0)
     for i in range(k):
-        others = tuple(j for j in range(k) if j != i)
-        cond = _normalize(arr.sum(axis=others), axis=0)
-        recomposed = recomposed * np.expand_dims(cond, others)
-    return float(np.abs(arr - recomposed).max())
+        if i != big and sizes[i] > 1:  # a one-element part's conditional is 1
+            recomposed = recomposed * _normalize(part(i), axis=axis[i])
+    recomposed -= arr
+    return float(np.abs(recomposed, out=recomposed).max())
 
 
 def check_mutual_ci(

@@ -45,7 +45,7 @@ from .markov import (
     recomposition_residual,
 )
 from .models import validate_model, validate_timing
-from .quantiles import outsourced_form, outsourced_residual, pushforward_residual, quantile_pushback
+from .quantiles import _outsourced, outsourced_residual, pushforward_residual, quantile_pushback
 from .semigraphoid import validate_derivation
 from .serialization import (
     ahspec_from_json,
@@ -320,7 +320,7 @@ def _cmd_noise_outsource(args) -> list[CheckLine]:
     with _blame(args.kernel):
         qf = quantile_pushback(f, order, atol)
         r1 = pushforward_residual(qf, f)
-        seed, mech = outsourced_form(f, order)
+        seed, mech = _outsourced(qf)
         r2 = outsourced_residual(f, seed, mech)
     if args.output:
         _write_json(

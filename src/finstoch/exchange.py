@@ -336,26 +336,15 @@ def verify_ah_lemmas(
     tails = rs + cs + ["T"]
     r1 = mutual_ci_residual(p, [[e] for e in entries], tails)
     r2 = 0.0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            others = (
-                [f"R[{k}]" for k in range(1, n + 1) if k != i]
-                + [f"C[{l}]" for l in range(1, n + 1) if l != j]
-                + [
-                    f"S[{k},{l}]"
-                    for k in range(1, n + 1)
-                    for l in range(1, n + 1)
-                    if k != i and l != j
-                ]
-            )
-            if not others:
-                continue
-            r2 = max(
-                r2,
-                ci_residual(
-                    p, [f"S[{i},{j}]"], others, [f"R[{i}]", f"C[{j}]", "T"]
-                ),
-            )
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        unrelated = (
+            [f"R[{k}]" for k in range(1, n + 1) if k != i]
+            + [f"C[{l}]" for l in range(1, n + 1) if l != j]
+            + [f"S[{k},{l}]" for k in range(1, n + 1) for l in range(1, n + 1) if k != i and l != j]
+        )
+        if unrelated:
+            tails_ij = [f"R[{i}]", f"C[{j}]", "T"]
+            r2 = max(r2, ci_residual(p, [f"S[{i},{j}]"], unrelated, tails_ij))
     r3 = mutual_ci_residual(p, [[w] for w in rs + cs], ["T"])
     return AHLemmaReport(
         entries_independent=r1 <= atol,

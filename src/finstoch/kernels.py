@@ -244,11 +244,13 @@ def compose(g: Kernel, f: Kernel) -> Kernel:
             f"cannot compose: intermediate interfaces differ "
             f"({[c.label for c in f.cod]} vs {[d.label for d in g.dom]})"
         )
+    _check_entries(len(f.matrix) * g.matrix.shape[1])
     return Kernel(f.dom, g.cod, f.matrix @ g.matrix)
 
 
 def tensor(f: Kernel, g: Kernel) -> Kernel:
     """Parallel composite; probabilities multiply across the two legs."""
+    _check_entries(f.matrix.size * g.matrix.size)
     return Kernel(f.dom + g.dom, f.cod + g.cod, np.kron(f.matrix, g.matrix))
 
 
@@ -301,26 +303,31 @@ class JointState:
         return [self.wire_index(w) for w in wires]
 
 
+def _marginal(arr: np.ndarray, names: Sequence[str], wires: Sequence[str]) -> np.ndarray:
+    """Raw marginal of ``arr`` (one axis per name) on ``wires``, in their order, C-contiguous."""
+    drop = tuple(i for i, w in enumerate(names) if w not in wires)
+    kept = [w for w in names if w in wires]
+    arr = arr.sum(axis=drop) if drop else arr
+    return np.ascontiguousarray(arr.transpose([kept.index(w) for w in wires]))
+
+
 def marginalize(p: JointState, keep: Iterable[str]) -> JointState:
     """Sum out every wire not listed in ``keep``; kept wire order is p's."""
-    keep_set = set(keep)
-    for w in keep_set:
-        if w not in p.wire_names:
-            raise UnknownWire(f"no wire named {w!r}")
-    kept = [w for w in p.wire_names if w in keep_set]
-    drop = tuple(i for i, w in enumerate(p.wire_names) if w not in keep_set)
-    arr = p.array.sum(axis=drop) if drop else p.array
-    return JointState.from_array(arr, [(w, p.carrier(w)) for w in kept])
+    keep = {p.wire_index(w) for w in keep}
+    kept = [w for i, w in enumerate(p.wire_names) if i in keep]
+    return JointState.from_array(
+        _marginal(p.array, p.wire_names, kept), [(w, p.carrier(w)) for w in kept]
+    )
 
 
 def reindex(p: JointState, order: Sequence[str]) -> JointState:
     """Permute the tensor factors of p into the given wire order."""
     order = list(order)
-    perm = p.wire_indices(order)
-    if sorted(perm) != list(range(len(p.wire_names))):
+    if sorted(p.wire_indices(order)) != list(range(len(p.wire_names))):
         raise ShapeMismatch("order is not a permutation of the wires")
-    arr = p.array.transpose(perm)
-    return JointState.from_array(arr, [(w, p.carrier(w)) for w in order])
+    return JointState.from_array(
+        _marginal(p.array, p.wire_names, order), [(w, p.carrier(w)) for w in order]
+    )
 
 
 def is_deterministic(f: Kernel, atol: float = DEFAULT_ATOL) -> bool:
@@ -408,7 +415,7 @@ class CSReport:
 
 def _pairing(u: Kernel, v: Kernel, p: Kernel) -> Kernel:
     """(u ⊗ v) ∘ copy ∘ p, summed directly: Σₓ p(x|i)·u(a|x)·v(b|x)."""
-    # uncapped, like compose and tensor: the entry cap is for joint states
+    # the one dense result left outside the entry cap (unlike compose and tensor)
     out = contract([(p.matrix, "ix"), (u.matrix, "xa"), (v.matrix, "xb")], "iab", math.inf)
     return Kernel(p.dom, u.cod + v.cod, out.reshape(len(p.matrix), -1))
 

@@ -24,9 +24,10 @@ from .kernels import (
     FinSet,
     JointState,
     Kernel,
-    conditional,
+    _flat_size,
+    _marginal,
+    _normalize,
     contract,
-    marginalize,
     max_abs_diff,
     reindex,
 )
@@ -162,15 +163,14 @@ def factorize(
     validate_timing(m, t)
     remaining = sorted(m.boxes, key=lambda b: (t[b.name], b.name))
     kernels: dict[str, Kernel] = {}
-    q = p
+    arr, names = p.array, list(p.wire_names)
     while remaining:
         b = remaining.pop()
-        keep = list(b.in_wires) + list(b.out_wires)
-        marg = reindex(marginalize(q, keep), keep)
-        kernels[b.name] = conditional(
-            marg.kernel, range(len(b.in_wires))
-        )
-        q = marginalize(q, set(q.wire_names) - set(b.out_wires))
+        dom, cod = (tuple(map(p.carrier, ws)) for ws in (b.in_wires, b.out_wires))
+        t = _marginal(arr, names, b.in_wires + b.out_wires).reshape(_flat_size(dom), -1)
+        kernels[b.name] = Kernel(dom, cod, _normalize(t, axis=1))
+        keep = [w for w in names if w not in b.out_wires]
+        arr, names = _marginal(arr, names, keep), keep
     carriers = {w: p.carrier(w) for w in m.wires}
     return BoxAssignment(carriers, kernels)
 

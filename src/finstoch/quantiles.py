@@ -136,7 +136,11 @@ def outsourced_form(
     the input's cell containing it.  Composing map after seed tensor
     identity returns f up to re-summation error.
     """
-    qf = quantile_pushback(f, order)
+    return _outsourced(quantile_pushback(f, order), seed_label)
+
+
+def _outsourced(qf: QuantileFunction, seed_label: str = "U") -> tuple[Kernel, Kernel]:
+    """The seed and cell map of outsourced_form, read off a built staircase."""
     uppers = sorted({bp.upper for row in qf.rows for bp in row})
     cells = FinSet(seed_label, tuple(f"u{k}" for k in range(1, len(uppers) + 1)))
     probs = np.diff([0.0] + uppers)
@@ -151,7 +155,7 @@ def outsourced_form(
             table[x] = values[np.minimum(k, len(row) - 1)]
         return table.T.ravel()  # mechanism rows run over (seed cell, input)
 
-    return seed, _point_masses((cells,) + qf.dom, f.cod, cols)
+    return seed, _point_masses((cells,) + qf.dom, (qf.cod,), cols)
 
 
 def outsourced_residual(f: Kernel, seed: Kernel, mech: Kernel) -> float:

@@ -1,7 +1,11 @@
 """Conditional independence residuals and the two-partition argument."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from finstoch import (
     JointState,
@@ -26,7 +30,9 @@ from support import (
     product_identity_residual,
     random_joint,
     random_kernel,
+    random_rows,
     random_state,
+    table,
 )
 
 
@@ -200,3 +206,82 @@ def test_failed_premise_is_reported_not_hidden():
     )
     assert not (rep.premise_left and rep.premise_right and rep.conclusion)
     assert len(rep.residuals) == 3
+
+
+def _loop_mutual_residual(p, parts, given=()):
+    """max over cells of |p(x_1..x_k, w) - p(w) * prod_i p(x_i | w)|, by loops.
+
+    p(x_i | w) is uniform where p(w) is exactly 0, so the product is 0 there.
+    """
+    parts, given = [list(g) for g in parts], list(given)
+    flat = [w for g in parts for w in g]
+    q_all = table(p, flat + given)
+    q_parts = [table(p, g + given) for g in parts]
+    q_w = table(p, given)
+    worst = 0.0
+    for key, v in q_all.items():
+        kw = key[len(flat) :]
+        rec, start = q_w[kw], 0
+        for g, q in zip(parts, q_parts):
+            n = math.prod(p.carrier(w).size for w in g)
+            cell = q[key[start : start + len(g)] + kw]
+            rec *= cell / q_w[kw] if q_w[kw] != 0.0 else 1.0 / n
+            start += len(g)
+        worst = max(worst, abs(v - rec))
+    return worst
+
+
+@hs.composite
+def _ci_cases(draw):
+    """A joint with planted zeros, 2-4 parts, optional extra and given wires."""
+    widths = draw(hs.lists(hs.integers(1, 2), min_size=2, max_size=4))
+    n_given = draw(hs.integers(0, 2))
+    n_extra = draw(hs.integers(0, 1))
+    sizes = draw(
+        hs.lists(hs.integers(1, 3), min_size=sum(widths) + n_given + n_extra,
+                 max_size=sum(widths) + n_given + n_extra)
+    )
+    names = [f"v{k}" for k in range(len(sizes))]
+    order = draw(hs.permutations(names))  # the state's own wire order
+    zero_frac = draw(hs.floats(0.1, 0.7))
+    null_cell = draw(hs.booleans())
+    seed = draw(hs.integers(0, 2**32 - 1))
+    it = iter(names)
+    parts = [[next(it) for _ in range(w)] for w in widths]
+    given = [next(it) for _ in range(n_given)]
+    return parts, given, dict(zip(names, sizes)), order, zero_frac, null_cell, seed
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(_ci_cases())
+def test_mutual_residual_matches_the_loop_reference(case):
+    parts, given, sizes, order, zero_frac, null_cell, seed = case
+    rng = np.random.default_rng(seed)
+    wires = [(w, carrier(w, sizes[w])) for w in order]
+    arr = random_rows(rng, 1, math.prod(sizes.values()), zero_frac)[0]
+    arr = arr.reshape([sizes[w] for w in order])
+    # one conditioning cell of mass exactly 0, when mass is left elsewhere
+    null = tuple(0 if w in given else slice(None) for w in order)
+    if null_cell and given and arr.sum() > arr[null].sum():
+        arr[null] = 0.0
+        arr = arr / arr.sum()
+    p = JointState.from_array(arr, wires)
+    got = mutual_ci_residual(p, parts, given)
+    assert got == pytest.approx(_loop_mutual_residual(p, parts, given), abs=1e-14)
+
+
+def test_zero_mass_cell_with_cancelling_entries_recomposes_to_zero():
+    # the cell w=1 holds +eps and -eps: its mass is exactly 0 though its
+    # entries are not, so the recomposition there is 0 and the residual eps
+    eps = 1e-12
+    bit = carrier("bit", 2)
+    arr = np.zeros((2, 2, 2))
+    arr[:, :, 0] = np.outer([0.4, 0.6], [0.25, 0.75])  # independent at w=0
+    arr[0, 0, 1], arr[1, 1, 1] = eps, -eps
+    p = JointState.from_array(arr, [("x", bit), ("y", bit), ("w", bit)])
+    assert p.array[:, :, 1].sum() == 0.0
+    for parts in ([["x"], ["y"]], [["y"], ["x"]]):
+        got = mutual_ci_residual(p, parts, ["w"])
+        want = _loop_mutual_residual(p, parts, ["w"])
+        assert want == pytest.approx(eps, abs=1e-17)
+        assert got == pytest.approx(want, abs=1e-14)

@@ -16,6 +16,7 @@ from finstoch import (
     kernel_to_json,
     make_model,
     model_to_json,
+    outsourced_form,
     quantile_from_json,
     recompose,
     state_from_json,
@@ -442,6 +443,39 @@ def test_noise_outsource_reports_and_writes(tmp_path, capsys):
     assert code == 0
     code, _, err = run(capsys, ["noise-outsource", kf, "--order", "3,1"])
     assert code == 2
+
+
+def test_noise_outsource_builds_the_staircase_once(tmp_path, capsys, monkeypatch):
+    import finstoch.cli as cli_module
+    import finstoch.quantiles as quantiles
+
+    calls = []
+    real = quantiles.quantile_pushback
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quantiles, "quantile_pushback", counting)
+    monkeypatch.setattr(cli_module, "quantile_pushback", counting)
+    rng = np.random.default_rng(29)
+    f = random_kernel(rng, carrier("a", 100), carrier("y", 8), zero_frac=0.3)
+    kf = write(tmp_path, "kernel.json", kernel_to_json(f))
+    order = ["7", "5", "3", "1", "0", "2", "4", "6"]
+    out_path = tmp_path / "parts.json"
+    for argv in (
+        ["noise-outsource", kf],
+        ["noise-outsource", kf, "--order", ",".join(order), "-o", str(out_path)],
+    ):
+        calls.clear()
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and len(out) == 2
+        assert len(calls) == 1
+    # the written parts are those the library's outsourced_form builds
+    seed, mech = outsourced_form(f, order)
+    doc = json.loads(out_path.read_text())
+    assert doc["seed"] == json.loads(json.dumps(kernel_to_json(seed)))
+    assert doc["mechanism"] == json.loads(json.dumps(kernel_to_json(mech)))
 
 
 def test_noise_outsource_over_the_entry_cap_exits_2_before_the_mechanism(tmp_path, capsys):

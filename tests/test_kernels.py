@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,27 @@ def test_point_mass_kernels_share_the_entry_cap():
     ):
         with pytest.raises(SizeLimit):
             build()
+
+
+def test_tensor_and_compose_share_the_entry_cap():
+    # 1600 x 1600 = 2,560,000 entries exceed 2**20
+    with pytest.raises(SizeLimit):
+        tensor(identity(carrier("a", 40)), identity(carrier("b", 40)))
+    # 2000 x 1000 entries from a 2000 x 1 and a 1 x 1000 matrix
+    with pytest.raises(SizeLimit):
+        compose(uniform_state(carrier("u", 1000)), discard_kernel(carrier("d", 2000)))
+
+
+def test_tensor_cap_fires_before_the_product_is_allocated():
+    a, b = identity(carrier("a", 1024)), identity(carrier("b", 1024))  # 2**20 each
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit):
+            tensor(a, b)  # 2**40 entries
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_deterministic_kernel_names_the_carrier_a_value_is_missing_from():
