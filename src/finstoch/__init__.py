@@ -8,272 +8,175 @@ engine, wiring-diagram models with local and ordered Markov property
 checks and constructive factorization, latent constructions for
 exchangeable sequences and arrays, and quantile representations that
 outsource all randomness of a kernel to one uniform seed.
+
+Names resolve on first use.  A bare ``import finstoch`` loads no numpy;
+the first access through the package to a name, or to a submodule not
+yet loaded, loads every module that defines a name below at once, so
+they are all in ``sys.modules`` together.  ``finstoch.cli`` is imported
+only on request.
 """
 
-from .ci import (
-    PartitionReport,
-    check_ci,
-    check_mutual_ci,
-    check_partition_lemma,
-    ci_residual,
-    common_refinement,
-    mutual_ci_residual,
-)
-from .errors import (
-    BadWireNaming,
-    BudgetExceeded,
-    DomainMismatch,
-    FinstochError,
-    InvalidTiming,
-    NotAPartition,
-    ParamMismatch,
-    ShapeMismatch,
-    SizeLimit,
-    UnknownNode,
-    UnknownWire,
-    WireMismatch,
-    WireOverlap,
-)
-from .exchange import (
-    AHLemmaReport,
-    AHSpec,
-    PermSpec,
-    adjacent_transpositions,
-    ah_wires,
-    build_ah_joint,
-    build_definetti_joint,
-    check_as_invariance,
-    check_invariance,
-    decode_names,
-    grid_transpositions,
-    invariance_residual,
-    verify_ah_lemmas,
-)
-from .kernels import (
-    DEFAULT_ATOL,
-    MAX_ENTRIES,
-    CSReport,
-    FinSet,
-    JointState,
-    Kernel,
-    ParamKernel,
-    as_equal,
-    as_equal_residual,
-    compose,
-    conditional,
-    copy_kernel,
-    cs_check,
-    deterministic_kernel,
-    discard_kernel,
-    identity,
-    is_deterministic,
-    marginalize,
-    max_abs_diff,
-    param_lift,
-    parametric_as_equal,
-    parametric_compose,
-    parametric_cs_check,
-    parametric_tensor,
-    reindex,
-    swap_kernel,
-    tensor,
-    uniform_state,
-)
-from .markov import (
-    BoxAssignment,
-    check_compatible,
-    check_local_markov,
-    check_ordered_markov,
-    compatibility_residual,
-    factorize,
-    local_markov_residual,
-    ordered_markov_residual,
-    recompose,
-)
-from .models import (
-    Box,
-    CausalModel,
-    TimingFunction,
-    Violation,
-    default_timing,
-    ensure_valid,
-    expand_ah_model,
-    make_model,
-    non_descendants,
-    past,
-    reaches,
-    topo_order,
-    validate_model,
-    validate_timing,
-)
-from .quantiles import (
-    Breakpoint,
-    QuantileFunction,
-    outsourced_form,
-    outsourced_residual,
-    pushforward_residual,
-    quantile_pushback,
-    verify_pushforward,
-)
-from .semigraphoid import (
-    CLOSURE_RULES,
-    RULES,
-    CIStatement,
-    Closure,
-    Derivation,
-    DerivationReport,
-    DerivationStep,
-    semigraphoid_closure,
-    statement_holds,
-    statement_key,
-    validate_derivation,
-)
-from .serialization import (
-    ahspec_from_json,
-    ahspec_to_json,
-    assignment_from_json,
-    assignment_to_json,
-    derivation_from_json,
-    derivation_to_json,
-    finset_from_json,
-    finset_to_json,
-    kernel_from_json,
-    kernel_to_json,
-    model_from_json,
-    model_to_json,
-    quantile_from_json,
-    quantile_to_json,
-    state_from_json,
-    state_to_json,
-    statement_from_json,
-    statement_to_json,
-    timing_from_json,
-    timing_to_json,
-)
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AHLemmaReport",
-    "AHSpec",
-    "BadWireNaming",
-    "Box",
-    "BoxAssignment",
-    "Breakpoint",
-    "BudgetExceeded",
-    "CIStatement",
-    "CLOSURE_RULES",
-    "CSReport",
-    "CausalModel",
-    "Closure",
-    "DEFAULT_ATOL",
-    "Derivation",
-    "DerivationReport",
-    "DerivationStep",
-    "DomainMismatch",
-    "FinSet",
-    "FinstochError",
-    "InvalidTiming",
-    "JointState",
-    "Kernel",
-    "MAX_ENTRIES",
-    "NotAPartition",
-    "ParamKernel",
-    "ParamMismatch",
-    "PartitionReport",
-    "PermSpec",
-    "QuantileFunction",
-    "RULES",
-    "ShapeMismatch",
-    "SizeLimit",
-    "TimingFunction",
-    "UnknownNode",
-    "UnknownWire",
-    "Violation",
-    "WireMismatch",
-    "WireOverlap",
-    "adjacent_transpositions",
-    "ah_wires",
-    "ahspec_from_json",
-    "ahspec_to_json",
-    "as_equal",
-    "as_equal_residual",
-    "assignment_from_json",
-    "assignment_to_json",
-    "build_ah_joint",
-    "build_definetti_joint",
-    "check_as_invariance",
-    "check_ci",
-    "check_compatible",
-    "check_invariance",
-    "check_local_markov",
-    "check_mutual_ci",
-    "check_ordered_markov",
-    "check_partition_lemma",
-    "ci_residual",
-    "common_refinement",
-    "compatibility_residual",
-    "compose",
-    "conditional",
-    "copy_kernel",
-    "cs_check",
-    "decode_names",
-    "default_timing",
-    "derivation_from_json",
-    "derivation_to_json",
-    "deterministic_kernel",
-    "discard_kernel",
-    "ensure_valid",
-    "expand_ah_model",
-    "factorize",
-    "finset_from_json",
-    "finset_to_json",
-    "grid_transpositions",
-    "identity",
-    "invariance_residual",
-    "is_deterministic",
-    "kernel_from_json",
-    "kernel_to_json",
-    "local_markov_residual",
-    "make_model",
-    "marginalize",
-    "max_abs_diff",
-    "model_from_json",
-    "model_to_json",
-    "mutual_ci_residual",
-    "non_descendants",
-    "ordered_markov_residual",
-    "outsourced_form",
-    "outsourced_residual",
-    "param_lift",
-    "parametric_as_equal",
-    "parametric_compose",
-    "parametric_cs_check",
-    "parametric_tensor",
-    "past",
-    "pushforward_residual",
-    "quantile_from_json",
-    "quantile_pushback",
-    "quantile_to_json",
-    "reaches",
-    "recompose",
-    "reindex",
-    "semigraphoid_closure",
-    "state_from_json",
-    "state_to_json",
-    "statement_from_json",
-    "statement_holds",
-    "statement_key",
-    "statement_to_json",
-    "swap_kernel",
-    "tensor",
-    "timing_from_json",
-    "timing_to_json",
-    "topo_order",
-    "uniform_state",
-    "validate_derivation",
-    "validate_model",
-    "validate_timing",
-    "verify_ah_lemmas",
-    "verify_pushforward",
-]
+# Public names, by the module that defines them.
+_EXPORTS = {
+    "ci": (
+        "PartitionReport",
+        "check_ci",
+        "check_mutual_ci",
+        "check_partition_lemma",
+        "ci_residual",
+        "common_refinement",
+        "mutual_ci_residual",
+    ),
+    "errors": (
+        "BadWireNaming",
+        "BudgetExceeded",
+        "DomainMismatch",
+        "FinstochError",
+        "InvalidTiming",
+        "NotAPartition",
+        "ParamMismatch",
+        "ShapeMismatch",
+        "SizeLimit",
+        "UnknownNode",
+        "UnknownWire",
+        "WireMismatch",
+        "WireOverlap",
+    ),
+    "exchange": (
+        "AHLemmaReport",
+        "AHSpec",
+        "PermSpec",
+        "adjacent_transpositions",
+        "ah_wires",
+        "build_ah_joint",
+        "build_definetti_joint",
+        "check_as_invariance",
+        "check_invariance",
+        "decode_names",
+        "grid_transpositions",
+        "invariance_residual",
+        "verify_ah_lemmas",
+    ),
+    "kernels": (
+        "DEFAULT_ATOL",
+        "MAX_ENTRIES",
+        "CSReport",
+        "FinSet",
+        "JointState",
+        "Kernel",
+        "ParamKernel",
+        "as_equal",
+        "as_equal_residual",
+        "compose",
+        "conditional",
+        "copy_kernel",
+        "cs_check",
+        "deterministic_kernel",
+        "discard_kernel",
+        "identity",
+        "is_deterministic",
+        "marginalize",
+        "max_abs_diff",
+        "param_lift",
+        "parametric_as_equal",
+        "parametric_compose",
+        "parametric_cs_check",
+        "parametric_tensor",
+        "reindex",
+        "swap_kernel",
+        "tensor",
+        "uniform_state",
+    ),
+    "markov": (
+        "BoxAssignment",
+        "check_compatible",
+        "check_local_markov",
+        "check_ordered_markov",
+        "compatibility_residual",
+        "factorize",
+        "local_markov_residual",
+        "ordered_markov_residual",
+        "recompose",
+    ),
+    "models": (
+        "Box",
+        "CausalModel",
+        "TimingFunction",
+        "Violation",
+        "default_timing",
+        "ensure_valid",
+        "expand_ah_model",
+        "make_model",
+        "non_descendants",
+        "past",
+        "reaches",
+        "topo_order",
+        "validate_model",
+        "validate_timing",
+    ),
+    "quantiles": (
+        "Breakpoint",
+        "QuantileFunction",
+        "outsourced_form",
+        "outsourced_residual",
+        "pushforward_residual",
+        "quantile_pushback",
+        "verify_pushforward",
+    ),
+    "semigraphoid": (
+        "CLOSURE_RULES",
+        "RULES",
+        "CIStatement",
+        "Closure",
+        "Derivation",
+        "DerivationReport",
+        "DerivationStep",
+        "semigraphoid_closure",
+        "statement_holds",
+        "statement_key",
+        "validate_derivation",
+    ),
+    "serialization": (
+        "ahspec_from_json",
+        "ahspec_to_json",
+        "assignment_from_json",
+        "assignment_to_json",
+        "derivation_from_json",
+        "derivation_to_json",
+        "finset_from_json",
+        "finset_to_json",
+        "kernel_from_json",
+        "kernel_to_json",
+        "model_from_json",
+        "model_to_json",
+        "quantile_from_json",
+        "quantile_to_json",
+        "state_from_json",
+        "state_to_json",
+        "statement_from_json",
+        "statement_to_json",
+        "timing_from_json",
+        "timing_to_json",
+    ),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for layer, names in _EXPORTS.items():
+        module = importlib.import_module(f".{layer}", __name__)
+        globals().update((n, getattr(module, n)) for n in names)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

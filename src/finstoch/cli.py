@@ -12,6 +12,9 @@ kernels, states and specs must be stochastic within 1e-9, or within
 verdicts, never what input is accepted.  States, contractions and
 deterministic kernels such as the noise-outsource mechanism are capped
 at 2**20 entries, contractions also at 52 wires; larger inputs exit 2.
+
+Each subcommand imports the modules it runs when it runs: ``replay``
+and ``validate-model`` load no numpy.
 """
 
 from __future__ import annotations
@@ -23,42 +26,9 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from importlib import resources
 from typing import Any, Callable, Sequence
 
-from .ci import ci_residual
-from .errors import FinstochError, ShapeMismatch
-from .exchange import (
-    adjacent_transpositions,
-    build_ah_joint,
-    decode_names,
-    grid_transpositions,
-    invariance_residual,
-    verify_ah_lemmas,
-)
-from .kernels import DEFAULT_ATOL, cs_check
-from .markov import (
-    compatibility_residual,
-    factorize,
-    local_markov_residual,
-    ordered_markov_residual,
-    recomposition_residual,
-)
-from .models import validate_model, validate_timing
-from .quantiles import _outsourced, outsourced_residual, pushforward_residual, quantile_pushback
-from .semigraphoid import validate_derivation
-from .serialization import (
-    ahspec_from_json,
-    assignment_to_json,
-    derivation_from_json,
-    kernel_from_json,
-    kernel_to_json,
-    model_from_json,
-    quantile_to_json,
-    state_from_json,
-    state_to_json,
-    timing_from_json,
-)
+from .errors import DEFAULT_ATOL, FinstochError, ShapeMismatch
 
 # One reported check: pass/fail, display name, optional residual.
 CheckLine = tuple[bool, str, "float | None"]
@@ -167,6 +137,9 @@ def _emit(lines: Sequence[CheckLine]) -> int:
 
 
 def _cmd_validate_model(args) -> list[CheckLine]:
+    from .models import validate_model
+    from .serialization import model_from_json
+
     m = _read(args.model, model_from_json)
     violations = validate_model(m)
     if not violations:
@@ -175,6 +148,9 @@ def _cmd_validate_model(args) -> list[CheckLine]:
 
 
 def _cmd_check_ci(args) -> list[CheckLine]:
+    from .ci import ci_residual
+    from .serialization import state_from_json
+
     atol = _atol()
     p = _read(args.state, state_from_json, _load_atol())
     x = _wire_list(args.x, "--x")
@@ -186,6 +162,9 @@ def _cmd_check_ci(args) -> list[CheckLine]:
 
 
 def _load_state_and_model(args):
+    from .models import validate_model, validate_timing
+    from .serialization import model_from_json, state_from_json, timing_from_json
+
     p = _read(args.state, state_from_json, _load_atol())
     m = _read(args.model, model_from_json)
     violations = validate_model(m)
@@ -205,6 +184,8 @@ def _load_state_and_model(args):
 
 
 def _cmd_check_markov(args) -> list[CheckLine]:
+    from .markov import compatibility_residual, local_markov_residual, ordered_markov_residual
+
     atol = _atol()
     p, m, t = _load_state_and_model(args)
     run_all = not (args.local or args.ordered)
@@ -223,6 +204,9 @@ def _cmd_check_markov(args) -> list[CheckLine]:
 
 
 def _cmd_factorize(args) -> list[CheckLine]:
+    from .markov import factorize, recomposition_residual
+    from .serialization import assignment_to_json
+
     atol = _atol()
     p, m, t = _load_state_and_model(args)
     with _blame(args.state):
@@ -233,6 +217,9 @@ def _cmd_factorize(args) -> list[CheckLine]:
 
 
 def _cmd_build_ah(args) -> list[CheckLine]:
+    from .exchange import build_ah_joint
+    from .serialization import ahspec_from_json, state_to_json
+
     spec = _read(args.spec, ahspec_from_json, _load_atol())
     with _blame(args.spec):
         p = build_ah_joint(spec, expose_latents=args.expose_latents)
@@ -241,6 +228,9 @@ def _cmd_build_ah(args) -> list[CheckLine]:
 
 
 def _cmd_verify_ah(args) -> list[CheckLine]:
+    from .exchange import verify_ah_lemmas
+    from .serialization import ahspec_from_json
+
     atol = _atol()
     spec = _read(args.spec, ahspec_from_json, _load_atol())
     with _blame(args.spec):
@@ -254,6 +244,14 @@ def _cmd_verify_ah(args) -> list[CheckLine]:
 
 
 def _cmd_check_exchangeable(args) -> list[CheckLine]:
+    from .exchange import (
+        adjacent_transpositions,
+        decode_names,
+        grid_transpositions,
+        invariance_residual,
+    )
+    from .serialization import state_from_json
+
     atol = _atol()
     want = None
     if args.grid:
@@ -286,6 +284,8 @@ def _cmd_check_exchangeable(args) -> list[CheckLine]:
 
 def _resolve_script(path: str) -> str:
     """Fall back to the bundled scripts when the literal path is absent."""
+    from importlib import resources
+
     if os.path.exists(path):
         return path
     bundled = resources.files(__package__) / "scripts" / os.path.basename(path)
@@ -295,6 +295,9 @@ def _resolve_script(path: str) -> str:
 
 
 def _cmd_replay(args) -> list[CheckLine]:
+    from .semigraphoid import validate_derivation
+    from .serialization import derivation_from_json
+
     d = _read(_resolve_script(args.derivation), derivation_from_json)
     report = validate_derivation(d)
     lines: list[CheckLine] = []
@@ -309,6 +312,9 @@ def _cmd_replay(args) -> list[CheckLine]:
 
 
 def _cmd_noise_outsource(args) -> list[CheckLine]:
+    from .quantiles import _outsourced, outsourced_residual, pushforward_residual, quantile_pushback
+    from .serialization import kernel_from_json, kernel_to_json, quantile_to_json
+
     atol = _atol()
     f = _read(args.kernel, kernel_from_json, _load_atol())
     if len(f.cod) != 1:
@@ -338,6 +344,9 @@ def _cmd_noise_outsource(args) -> list[CheckLine]:
 
 
 def _cmd_check_cs(args) -> list[CheckLine]:
+    from .kernels import cs_check
+    from .serialization import kernel_from_json
+
     p, f, g = (_read(a, kernel_from_json, _load_atol()) for a in (args.p, args.f, args.g))
     report = cs_check(p, f, g, consequent_atol=_strict_atol(1e-6))
     return [

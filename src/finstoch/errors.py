@@ -1,6 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types, the default tolerance and the size caps of the package.
+
+This module imports nothing, so numpy-free modules such as
+``semigraphoid`` and ``models`` can use it.
+"""
 
 from __future__ import annotations
+
+DEFAULT_ATOL = 1e-9
+MAX_ENTRIES = 1 << 20
+MAX_WIRES = 52  # distinct einsum indices numpy can address
 
 
 class FinstochError(ValueError):

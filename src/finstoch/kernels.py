@@ -16,11 +16,16 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainMismatch, ParamMismatch, ShapeMismatch, SizeLimit, UnknownWire
-
-DEFAULT_ATOL = 1e-9
-MAX_ENTRIES = 1 << 20
-MAX_WIRES = 52  # distinct einsum indices numpy can address
+from .errors import (
+    DEFAULT_ATOL,
+    MAX_ENTRIES,
+    MAX_WIRES,
+    DomainMismatch,
+    ParamMismatch,
+    ShapeMismatch,
+    SizeLimit,
+    UnknownWire,
+)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import FinstochError, InvalidTiming, SizeLimit, UnknownNode
-from .kernels import MAX_WIRES
+from .errors import MAX_WIRES, FinstochError, InvalidTiming, SizeLimit, UnknownNode
 
 
 @dataclass(frozen=True)

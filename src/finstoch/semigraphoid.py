@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .errors import BudgetExceeded, ShapeMismatch, UnknownWire, WireOverlap
-from .kernels import DEFAULT_ATOL, JointState
+from .errors import DEFAULT_ATOL, BudgetExceeded, ShapeMismatch, UnknownWire, WireOverlap
+
+if TYPE_CHECKING:
+    from .kernels import JointState
 
 
 @dataclass(frozen=True)

@@ -5,22 +5,26 @@ the library constructors, so malformed or non-stochastic documents fail
 with ShapeMismatch naming the offending field.  Matrices are stored
 row-major: rows enumerate domain tuples lexicographically by factor
 order then element order, and likewise for the columns.
+
+Each loader imports the types it builds when it runs, so reading a
+model, timing or derivation loads no numpy, and a process loads only
+the modules of the documents it reads.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-import numpy as np
+from .errors import DEFAULT_ATOL, FinstochError, ShapeMismatch
 
-from .errors import FinstochError, ShapeMismatch
-from .exchange import AHSpec
-from .kernels import DEFAULT_ATOL, FinSet, JointState, Kernel
-from .markov import BoxAssignment
-from .models import Box, CausalModel, TimingFunction
-from .quantiles import Breakpoint, QuantileFunction
-from .semigraphoid import CIStatement, Derivation, DerivationStep
+if TYPE_CHECKING:
+    from .exchange import AHSpec
+    from .kernels import FinSet, JointState, Kernel
+    from .markov import BoxAssignment
+    from .models import CausalModel, TimingFunction
+    from .quantiles import QuantileFunction
+    from .semigraphoid import CIStatement, Derivation
 
 
 _NOUNS = {list: "a list", str: "a string", int: "an integer", (int, float): "a number"}
@@ -49,6 +53,8 @@ def finset_to_json(fs: FinSet) -> dict:
 
 
 def finset_from_json(obj: Any, where: str = "carrier") -> FinSet:
+    from .kernels import FinSet
+
     label = _get(obj, "label", where, str)
     elements = _strings(_get(obj, "elements", where), f"{where}.elements")
     return FinSet(label, tuple(elements))
@@ -63,6 +69,10 @@ def kernel_to_json(k: Kernel) -> dict:
 
 
 def kernel_from_json(obj: Any, atol: float = DEFAULT_ATOL, where: str = "kernel") -> Kernel:
+    import numpy as np
+
+    from .kernels import Kernel
+
     dom = [
         finset_from_json(f, f"{where}.dom[{i}]")
         for i, f in enumerate(_get(obj, "dom", where, list))
@@ -91,6 +101,8 @@ def state_to_json(p: JointState) -> dict:
 
 
 def state_from_json(obj: Any, atol: float = DEFAULT_ATOL, where: str = "state") -> JointState:
+    from .kernels import JointState
+
     kernel = kernel_from_json(obj, atol, where)
     names = _strings(_get(obj, "wire_names", where), f"{where}.wire_names")
     try:
@@ -111,6 +123,8 @@ def model_to_json(m: CausalModel) -> dict:
 
 
 def model_from_json(obj: Any, where: str = "model") -> CausalModel:
+    from .models import Box, CausalModel
+
     wires = _strings(_get(obj, "wires", where), f"{where}.wires")
     boxes = []
     for i, b in enumerate(_get(obj, "boxes", where, list)):
@@ -132,6 +146,8 @@ def timing_to_json(t: TimingFunction) -> dict:
 
 
 def timing_from_json(obj: Any, where: str = "timing") -> TimingFunction:
+    from .models import TimingFunction
+
     if not isinstance(obj, Mapping):
         raise ShapeMismatch(f"{where}: expected an object of box times")
     times = {}
@@ -152,6 +168,8 @@ def assignment_to_json(asg: BoxAssignment) -> dict:
 def assignment_from_json(
     obj: Any, atol: float = DEFAULT_ATOL, where: str = "assignment"
 ) -> BoxAssignment:
+    from .markov import BoxAssignment
+
     carriers = {
         w: finset_from_json(c, f"{where}.carriers[{w!r}]")
         for w, c in _get(obj, "carriers", where, Mapping).items()
@@ -175,6 +193,8 @@ def ahspec_to_json(spec: AHSpec) -> dict:
 
 
 def ahspec_from_json(obj: Any, atol: float = DEFAULT_ATOL, where: str = "spec") -> AHSpec:
+    from .exchange import AHSpec
+
     kernels = {
         name: kernel_from_json(_get(obj, name, where), atol, f"{where}.{name}")
         for name in ("q", "f", "g", "h")
@@ -195,6 +215,8 @@ def statement_to_json(stmt: CIStatement) -> dict:
 
 
 def statement_from_json(obj: Any, where: str = "statement") -> CIStatement:
+    from .semigraphoid import CIStatement
+
     try:
         return CIStatement(
             frozenset(_strings(_get(obj, "left", where), f"{where}.left")),
@@ -221,6 +243,8 @@ def derivation_to_json(d: Derivation) -> dict:
 
 
 def derivation_from_json(obj: Any, where: str = "derivation") -> Derivation:
+    from .semigraphoid import Derivation, DerivationStep
+
     symbols = _strings(_get(obj, "symbols", where), f"{where}.symbols")
     axioms = [
         statement_from_json(a, f"{where}.axioms[{i}]")
@@ -263,6 +287,8 @@ def quantile_to_json(qf: QuantileFunction) -> dict:
 def quantile_from_json(
     obj: Any, atol: float = DEFAULT_ATOL, where: str = "quantile"
 ) -> QuantileFunction:
+    from .quantiles import Breakpoint, QuantileFunction
+
     dom = tuple(
         finset_from_json(f, f"{where}.dom[{i}]")
         for i, f in enumerate(_get(obj, "dom", where, list))
