@@ -26,8 +26,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "ci": (
         "PartitionReport",
-        "check_ci",
-        "check_mutual_ci",
         "check_partition_lemma",
         "ci_residual",
         "common_refinement",
@@ -53,11 +51,9 @@ _EXPORTS = {
         "AHSpec",
         "PermSpec",
         "adjacent_transpositions",
-        "ah_wires",
         "build_ah_joint",
         "build_definetti_joint",
         "check_as_invariance",
-        "check_invariance",
         "decode_names",
         "grid_transpositions",
         "invariance_residual",
@@ -71,7 +67,6 @@ _EXPORTS = {
         "JointState",
         "Kernel",
         "ParamKernel",
-        "as_equal",
         "as_equal_residual",
         "compose",
         "conditional",
@@ -84,7 +79,6 @@ _EXPORTS = {
         "marginalize",
         "max_abs_diff",
         "param_lift",
-        "parametric_as_equal",
         "parametric_compose",
         "parametric_cs_check",
         "parametric_tensor",
@@ -95,9 +89,6 @@ _EXPORTS = {
     ),
     "markov": (
         "BoxAssignment",
-        "check_compatible",
-        "check_local_markov",
-        "check_ordered_markov",
         "compatibility_residual",
         "factorize",
         "local_markov_residual",
@@ -127,10 +118,8 @@ _EXPORTS = {
         "outsourced_residual",
         "pushforward_residual",
         "quantile_pushback",
-        "verify_pushforward",
     ),
     "semigraphoid": (
-        "CLOSURE_RULES",
         "RULES",
         "CIStatement",
         "Closure",
@@ -138,8 +127,6 @@ _EXPORTS = {
         "DerivationReport",
         "DerivationStep",
         "semigraphoid_closure",
-        "statement_holds",
-        "statement_key",
         "validate_derivation",
     ),
     "serialization": (

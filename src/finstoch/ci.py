@@ -7,8 +7,7 @@ the largest part X_b kept as a joint marginal.  A conditioning cell has
 zero mass when p(w) is exactly 0; its conditionals are uniform and its
 recomposition is exactly 0, so the comparison is exact on support.  A
 statement validates nothing and allocates at most three arrays the size
-of the marginal, where validated marginalize/reindex states took seven
-and four validation passes.
+of the marginal.
 """
 
 from __future__ import annotations
@@ -69,32 +68,11 @@ def mutual_ci_residual(
     return float(np.abs(recomposed, out=recomposed).max())
 
 
-def check_mutual_ci(
-    p: JointState,
-    parts: Sequence[WireGroup],
-    given: WireGroup = (),
-    atol: float = DEFAULT_ATOL,
-) -> bool:
-    """True iff the parts are jointly independent given ``given`` within atol."""
-    return mutual_ci_residual(p, parts, given) <= atol
-
-
 def ci_residual(
     p: JointState, x: WireGroup, y: WireGroup, given: WireGroup = ()
 ) -> float:
     """Residual of X independent of Y given W on the state p."""
     return mutual_ci_residual(p, [x, y], given)
-
-
-def check_ci(
-    p: JointState,
-    x: WireGroup,
-    y: WireGroup,
-    given: WireGroup = (),
-    atol: float = DEFAULT_ATOL,
-) -> bool:
-    """True iff wire group X is independent of Y given W, within atol."""
-    return ci_residual(p, x, y, given) <= atol
 
 
 @dataclass(frozen=True)

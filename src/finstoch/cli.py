@@ -344,11 +344,14 @@ def _cmd_noise_outsource(args) -> list[CheckLine]:
 
 
 def _cmd_check_cs(args) -> list[CheckLine]:
-    from .kernels import cs_check
+    from .kernels import ANTECEDENT_ATOL, CONSEQUENT_ATOL, cs_check
     from .serialization import kernel_from_json
 
-    p, f, g = (_read(a, kernel_from_json, _load_atol()) for a in (args.p, args.f, args.g))
-    report = cs_check(p, f, g, consequent_atol=_strict_atol(1e-6))
+    paths = (args.p, args.f, args.g)
+    p, f, g = (_read(a, kernel_from_json, _load_atol()) for a in paths)
+    atols = _strict_atol(ANTECEDENT_ATOL), _strict_atol(CONSEQUENT_ATOL)
+    with _blame(", ".join(paths)):
+        report = cs_check(p, f, g, *atols)
     return [
         (report.antecedent_holds, "cs-antecedent", report.antecedent_residual),
         (report.consequent_holds, "cs-as-equal", report.consequent_residual),

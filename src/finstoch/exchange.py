@@ -22,7 +22,6 @@ from .ci import ci_residual, mutual_ci_residual
 from .errors import BadWireNaming, DomainMismatch, ShapeMismatch
 from .kernels import (
     DEFAULT_ATOL,
-    MAX_ENTRIES,
     FinSet,
     JointState,
     Kernel,
@@ -106,7 +105,7 @@ class _Naming:
             )
 
 
-def decode_names(names: Sequence[str], prefix: str | None = None) -> _Naming:
+def decode_names(names: Sequence[str]) -> _Naming:
     """Decode wire names as a complete grid P[i,j] or sequence P[i]."""
     if not names:
         raise BadWireNaming("no wires to decode")
@@ -118,7 +117,7 @@ def decode_names(names: Sequence[str], prefix: str | None = None) -> _Naming:
         )
     rx = _GRID_RE if grid else _SEQ_RE
     prefixes = {rx.match(n)["prefix"] for n in names}
-    if len(prefixes) != 1 or (prefix is not None and prefixes != {prefix}):
+    if len(prefixes) != 1:
         raise BadWireNaming(f"inconsistent wire prefixes {sorted(prefixes)}")
     (pfx,) = prefixes
     if grid:
@@ -152,26 +151,14 @@ def _axis_order(
     return order
 
 
-def invariance_residual(
-    p: JointState, generators: Iterable[PermSpec], prefix: str | None = None
-) -> float:
+def invariance_residual(p: JointState, generators: Iterable[PermSpec]) -> float:
     """Largest deviation of p from its image under each generator."""
-    naming = decode_names(p.wire_names, prefix)
+    naming = decode_names(p.wire_names)
     worst = 0.0
     for sigma in generators:
         order = _axis_order(naming, sigma, p.wire_names, p.kernel.cod)
         worst = max(worst, float(np.abs(p.array.transpose(order) - p.array).max()))
     return worst
-
-
-def check_invariance(
-    p: JointState,
-    generators: Iterable[PermSpec],
-    atol: float = DEFAULT_ATOL,
-    prefix: str | None = None,
-) -> bool:
-    """Exact distributional invariance under each generator, within atol."""
-    return invariance_residual(p, generators, prefix) <= atol
 
 
 def check_as_invariance(
@@ -180,7 +167,6 @@ def check_as_invariance(
     generators: Iterable[PermSpec],
     wire_names: Sequence[str],
     atol: float = DEFAULT_ATOL,
-    prefix: str | None = None,
 ) -> bool:
     """Almost-sure invariance of a kernel under output permutations.
 
@@ -192,7 +178,7 @@ def check_as_invariance(
         raise ShapeMismatch("one name per codomain factor is required")
     if m.cod != p.dom:
         raise DomainMismatch("state does not land in the kernel's domain")
-    naming = decode_names(wire_names, prefix)
+    naming = decode_names(wire_names)
     ndom = len(p.dom)
     for sigma in generators:
         order = _axis_order(naming, sigma, wire_names, p.cod)
@@ -204,15 +190,9 @@ def check_as_invariance(
 
 
 def build_definetti_joint(
-    q: Kernel,
-    f: Kernel,
-    n: int,
-    expose_latent: bool = False,
-    prefix: str = "X",
-    latent_name: str = "A",
-    max_entries: int = MAX_ENTRIES,
+    q: Kernel, f: Kernel, n: int, expose_latent: bool = False
 ) -> JointState:
-    """Joint of n entries drawn independently given one shared latent."""
+    """Joint of n entries X[i] drawn independently given one shared latent A."""
     if q.dom or len(q.cod) != 1:
         raise ShapeMismatch("q must be a state with a single factor")
     if f.dom != q.cod or len(f.cod) != 1:
@@ -225,11 +205,10 @@ def build_definetti_joint(
     arr = contract(
         itertools.chain([(q.matrix[0], [None])], ((f.matrix, [None, i]) for i in xs)),
         itertools.chain([None] if expose_latent else [], xs),
-        max_entries,
     )
-    wires = [(f"{prefix}[{i}]", f.cod[0]) for i in xs]
+    wires = [(f"X[{i}]", f.cod[0]) for i in xs]
     if expose_latent:
-        wires = [(latent_name, q.cod[0])] + wires
+        wires = [("A", q.cod[0])] + wires
     return JointState.from_array(arr, wires)
 
 
@@ -271,15 +250,7 @@ def _ah_wires(spec: AHSpec, expose_latents: bool) -> Iterator[tuple[str, FinSet]
     yield from ((f"S[{i},{j}]", x) for i in rows for j in cols)
 
 
-def ah_wires(spec: AHSpec, expose_latents: bool) -> list[tuple[str, FinSet]]:
-    return list(_ah_wires(spec, expose_latents))
-
-
-def build_ah_joint(
-    spec: AHSpec,
-    expose_latents: bool = False,
-    max_entries: int = MAX_ENTRIES,
-) -> JointState:
+def build_ah_joint(spec: AHSpec, expose_latents: bool = False) -> JointState:
     """Exact joint of the grid entries, optionally with the latents kept.
 
     The probability of an assignment multiplies q at the shared latent,
@@ -298,8 +269,8 @@ def build_ah_joint(
             for j in cols
         ),
     )
-    arr = contract(operands, (w for w, _ in _ah_wires(spec, expose_latents)), max_entries)
-    return JointState.from_array(arr, ah_wires(spec, expose_latents))
+    arr = contract(operands, (w for w, _ in _ah_wires(spec, expose_latents)))
+    return JointState.from_array(arr, list(_ah_wires(spec, expose_latents)))
 
 
 @dataclass(frozen=True)
@@ -320,16 +291,12 @@ class AHLemmaReport:
         )
 
 
-def verify_ah_lemmas(
-    spec: AHSpec,
-    atol: float = DEFAULT_ATOL,
-    max_entries: int = MAX_ENTRIES,
-) -> AHLemmaReport:
+def verify_ah_lemmas(spec: AHSpec, atol: float = DEFAULT_ATOL) -> AHLemmaReport:
     """Check the three independence facts on the latent-exposed joint."""
     if spec.rows != spec.cols:
         raise ShapeMismatch("a square grid is required")
     n = spec.rows
-    p = build_ah_joint(spec, expose_latents=True, max_entries=max_entries)
+    p = build_ah_joint(spec, expose_latents=True)
     rs = [f"R[{i}]" for i in range(1, n + 1)]
     cs = [f"C[{j}]" for j in range(1, n + 1)]
     entries = [f"S[{i},{j}]" for i in range(1, n + 1) for j in range(1, n + 1)]

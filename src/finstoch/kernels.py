@@ -111,10 +111,9 @@ class Kernel:
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
-    def state(cls, probs, cod: FinSet | Iterable[FinSet], atol: float = DEFAULT_ATOL) -> "Kernel":
+    def state(cls, probs, cod: FinSet | Iterable[FinSet]) -> "Kernel":
         """Build a state (kernel out of the empty product) from a flat vector."""
-        row = np.asarray(probs, dtype=float).reshape(1, -1)
-        return cls((), _factors(cod), row, atol)
+        return cls((), _factors(cod), np.asarray(probs, dtype=float).reshape(1, -1))
 
     @property
     def dom_shape(self) -> tuple[int, ...]:
@@ -279,16 +278,10 @@ class JointState:
             raise ShapeMismatch("wire names repeat")
 
     @classmethod
-    def from_array(
-        cls,
-        array,
-        wires: Sequence[tuple[str, FinSet]],
-        atol: float = DEFAULT_ATOL,
-    ) -> "JointState":
+    def from_array(cls, array, wires: Sequence[tuple[str, FinSet]]) -> "JointState":
         names = tuple(name for name, _ in wires)
         carriers = tuple(carrier for _, carrier in wires)
-        row = np.asarray(array, dtype=float).reshape(1, -1)
-        return cls(Kernel((), carriers, row, atol), names)
+        return cls(Kernel.state(array, carriers), names)
 
     @property
     def array(self) -> np.ndarray:
@@ -399,11 +392,6 @@ def as_equal_residual(f: Kernel, g: Kernel, p: Kernel, atol: float = DEFAULT_ATO
     return float(diff.max())
 
 
-def as_equal(f: Kernel, g: Kernel, p: Kernel, atol: float = DEFAULT_ATOL) -> bool:
-    """Rowwise equality of f and g on the support of p, within atol."""
-    return as_equal_residual(f, g, p, atol) <= atol
-
-
 @dataclass(frozen=True)
 class CSReport:
     """Outcome of the pairing-equality check and its a.s.-equality consequent."""
@@ -425,12 +413,17 @@ def _pairing(u: Kernel, v: Kernel, p: Kernel) -> Kernel:
     return Kernel(p.dom, u.cod + v.cod, out.reshape(len(p.matrix), -1))
 
 
+# cs_check's tolerances; the antecedent's is stricter (see cs_check)
+ANTECEDENT_ATOL = 1e-12
+CONSEQUENT_ATOL = 1e-6
+
+
 def cs_check(
     p: Kernel,
     f: Kernel,
     g: Kernel,
-    antecedent_atol: float = 1e-12,
-    consequent_atol: float = 1e-6,
+    antecedent_atol: float = ANTECEDENT_ATOL,
+    consequent_atol: float = CONSEQUENT_ATOL,
 ) -> CSReport:
     """Check the implication: equal pairings against p force a.s. equality.
 
@@ -516,24 +509,7 @@ def parametric_tensor(f: ParamKernel, g: ParamKernel) -> ParamKernel:
     return _stack([tensor(fs, gs) for fs, gs in zip(f.slices(), g.slices())], w)
 
 
-def parametric_as_equal(
-    f: ParamKernel, g: ParamKernel, p: ParamKernel, atol: float = DEFAULT_ATOL
-) -> bool:
-    """Slice-wise a.s. equality of two parametric kernels."""
-    _shared_param(p, f, g)
-    return all(
-        as_equal(fs, gs, ps, atol)
-        for fs, gs, ps in zip(f.slices(), g.slices(), p.slices())
-    )
-
-
-def parametric_cs_check(
-    p: ParamKernel,
-    f: ParamKernel,
-    g: ParamKernel,
-    antecedent_atol: float = 1e-12,
-    consequent_atol: float = 1e-6,
-) -> CSReport:
+def parametric_cs_check(p: ParamKernel, f: ParamKernel, g: ParamKernel) -> CSReport:
     """The two-sided check of cs_check, run in the parametric category.
 
     A parametric kernel is one plain kernel per parameter value, so the
@@ -541,10 +517,7 @@ def parametric_cs_check(
     and consequent residuals.
     """
     _shared_param(p, f, g)
-    reports = [
-        cs_check(ps, fs, gs, antecedent_atol, consequent_atol)
-        for ps, fs, gs in zip(p.slices(), f.slices(), g.slices())
-    ]
+    reports = [cs_check(*s) for s in zip(p.slices(), f.slices(), g.slices())]
     ante = max(r.antecedent_residual for r in reports)
     cons = max(r.consequent_residual for r in reports)
-    return CSReport(ante <= antecedent_atol, cons <= consequent_atol, ante, cons)
+    return CSReport(ante <= ANTECEDENT_ATOL, cons <= CONSEQUENT_ATOL, ante, cons)

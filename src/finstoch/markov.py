@@ -19,8 +19,6 @@ import numpy as np
 from .ci import ci_residual
 from .errors import ShapeMismatch, UnknownNode, UnknownWire, WireMismatch
 from .kernels import (
-    DEFAULT_ATOL,
-    MAX_ENTRIES,
     FinSet,
     JointState,
     Kernel,
@@ -72,9 +70,7 @@ def _check_assignment(m: CausalModel, asg: BoxAssignment) -> None:
             )
 
 
-def recompose(
-    m: CausalModel, asg: BoxAssignment, max_entries: int = MAX_ENTRIES
-) -> JointState:
+def recompose(m: CausalModel, asg: BoxAssignment) -> JointState:
     """Exact joint over all wires obtained by running the model.
 
     Each wire's value is shared by every consumer and by the overall
@@ -86,8 +82,8 @@ def recompose(
     for b in topo_order(m):
         operands = [(current, have), (asg.kernels[b.name].array, b.in_wires + b.out_wires)]
         have += b.out_wires
-        current = contract(operands, have, max_entries)
-    current = contract([(current, have)], m.outputs, max_entries)
+        current = contract(operands, have)
+    current = contract([(current, have)], m.outputs)
     return JointState.from_array(
         current, [(w, asg.carriers[w]) for w in m.outputs]
     )
@@ -120,12 +116,6 @@ def local_markov_residual(p: JointState, m: CausalModel) -> float:
     return _screening_off_residual(p, m, lambda b: non_descendants(m, b.name))
 
 
-def check_local_markov(
-    p: JointState, m: CausalModel, atol: float = DEFAULT_ATOL
-) -> bool:
-    return local_markov_residual(p, m) <= atol
-
-
 def ordered_markov_residual(
     p: JointState, m: CausalModel, timing: TimingFunction | None = None
 ) -> float:
@@ -135,15 +125,6 @@ def ordered_markov_residual(
     t = default_timing(m) if timing is None else timing
     validate_timing(m, t)
     return _screening_off_residual(p, m, lambda b: past(m, t, b.name))
-
-
-def check_ordered_markov(
-    p: JointState,
-    m: CausalModel,
-    timing: TimingFunction | None = None,
-    atol: float = DEFAULT_ATOL,
-) -> bool:
-    return ordered_markov_residual(p, m, timing) <= atol
 
 
 def factorize(
@@ -185,10 +166,3 @@ def compatibility_residual(
 ) -> float:
     """Recomposition error of the constructive factorization of p along m."""
     return recomposition_residual(p, m, factorize(p, m, timing))
-
-
-def check_compatible(
-    p: JointState, m: CausalModel, atol: float = DEFAULT_ATOL
-) -> bool:
-    """True iff p factors through the model within atol."""
-    return compatibility_residual(p, m) <= atol

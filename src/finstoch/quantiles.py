@@ -119,16 +119,7 @@ def pushforward_residual(qf: QuantileFunction, f: Kernel) -> float:
     return worst
 
 
-def verify_pushforward(
-    qf: QuantileFunction, f: Kernel, atol: float = 1e-12
-) -> bool:
-    """True iff pushing the uniform measure through qf reproduces f."""
-    return pushforward_residual(qf, f) <= atol
-
-
-def outsourced_form(
-    f: Kernel, order: Sequence[str], seed_label: str = "U"
-) -> tuple[Kernel, Kernel]:
+def outsourced_form(f: Kernel, order: Sequence[str]) -> tuple[Kernel, Kernel]:
     """A finite uniform seed and a cell map that together reproduce f.
 
     The seed is a state on the common refinement of every row's cells;
@@ -136,13 +127,13 @@ def outsourced_form(
     the input's cell containing it.  Composing map after seed tensor
     identity returns f up to re-summation error.
     """
-    return _outsourced(quantile_pushback(f, order), seed_label)
+    return _outsourced(quantile_pushback(f, order))
 
 
-def _outsourced(qf: QuantileFunction, seed_label: str = "U") -> tuple[Kernel, Kernel]:
+def _outsourced(qf: QuantileFunction) -> tuple[Kernel, Kernel]:
     """The seed and cell map of outsourced_form, read off a built staircase."""
     uppers = sorted({bp.upper for row in qf.rows for bp in row})
-    cells = FinSet(seed_label, tuple(f"u{k}" for k in range(1, len(uppers) + 1)))
+    cells = FinSet("U", tuple(f"u{k}" for k in range(1, len(uppers) + 1)))
     probs = np.diff([0.0] + uppers)
     seed = Kernel.state(probs / probs.sum(), cells)
 

@@ -23,12 +23,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import DEFAULT_ATOL, BudgetExceeded, ShapeMismatch, UnknownWire, WireOverlap
-
-if TYPE_CHECKING:
-    from .kernels import JointState
+from .errors import BudgetExceeded, ShapeMismatch, UnknownWire, WireOverlap
 
 
 @dataclass(frozen=True)
@@ -64,22 +61,6 @@ class CIStatement:
             return ",".join(sorted(s))
 
         return f"{fmt(self.left)} _||_ {fmt(self.right)} | {fmt(self.given)}"
-
-
-def statement_key(stmt: CIStatement):
-    """A sortable canonical key for deterministic orderings."""
-    return (
-        tuple(sorted(stmt.left)),
-        tuple(sorted(stmt.right)),
-        tuple(sorted(stmt.given)),
-    )
-
-
-def statement_holds(stmt: CIStatement, p: JointState, atol: float = DEFAULT_ATOL) -> bool:
-    """Evaluate a symbolic statement numerically on a joint state."""
-    from .ci import check_ci
-
-    return check_ci(p, stmt.left, stmt.right, stmt.given, atol)
 
 
 def _is_symmetry(premises: Sequence[CIStatement], c: CIStatement) -> bool:
@@ -163,8 +144,6 @@ RULES = {
     "partition": _is_partition,
     "copy_axiom": _is_copy,
 }
-
-CLOSURE_RULES = ("symmetry", "decomposition", "weak_union", "contraction")
 
 
 @dataclass(frozen=True)

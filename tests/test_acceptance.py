@@ -17,9 +17,8 @@ from finstoch import (
     Kernel,
     ParamKernel,
     build_ah_joint,
-    check_local_markov,
-    check_ordered_markov,
     check_partition_lemma,
+    ci_residual,
     compatibility_residual,
     compose,
     conditional,
@@ -30,13 +29,14 @@ from finstoch import (
     grid_transpositions,
     identity,
     invariance_residual,
+    local_markov_residual,
     max_abs_diff,
+    ordered_markov_residual,
     parametric_cs_check,
     pushforward_residual,
     quantile_pushback,
     recompose,
     semigraphoid_closure,
-    statement_holds,
     swap_kernel,
     tensor,
     verify_ah_lemmas,
@@ -219,7 +219,7 @@ def test_semigraphoid_soundness():
             ground = ["X1", "X2", "X3", "X4"]
         for stmt in semigraphoid_closure(axioms, ground).statements:
             checked += 1
-            violations += not statement_holds(stmt, p, atol=1e-7)
+            violations += not (ci_residual(p, stmt.left, stmt.right, stmt.given) <= 1e-7)
     _report(
         "semigraphoid-soundness",
         violations == 0,
@@ -295,8 +295,8 @@ def test_markov_equivalence():
         compatible = k % 2 == 0
         if not compatible:
             p = perturbed(rng, p, eps=0.05)
-        local = check_local_markov(p, m, atol)
-        ordered = check_ordered_markov(p, m, None, atol)
+        local = local_markov_residual(p, m) <= atol
+        ordered = ordered_markov_residual(p, m) <= atol
         r = compatibility_residual(p, m)
         agree += local == ordered == (r <= atol)
         if compatible:
@@ -323,7 +323,7 @@ def test_latent_grid_suite():
         j = build_ah_joint(spec)
         worst_inv = max(worst_inv, invariance_residual(j, grid_transpositions(n, n)))
         jl = build_ah_joint(spec, expose_latents=True)
-        all_ok = all_ok and check_ordered_markov(jl, expand_ah_model(n), atol=1e-9)
+        all_ok = all_ok and ordered_markov_residual(jl, expand_ah_model(n)) <= 1e-9
         rep = verify_ah_lemmas(spec, atol=1e-9)
         all_ok = (
             all_ok

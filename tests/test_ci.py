@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from finstoch import (
+    DEFAULT_ATOL,
     JointState,
     Kernel,
     NotAPartition,
     UnknownWire,
     WireOverlap,
-    check_ci,
-    check_mutual_ci,
     check_partition_lemma,
     ci_residual,
     common_refinement,
@@ -53,7 +52,7 @@ def test_product_state_is_unconditionally_independent():
                Kernel.state([0.25, 0.75], carrier("y", 2)))
     j = JointState(p, ("x", "y"))
     assert ci_residual(j, ["x"], ["y"]) <= 1e-15
-    assert check_ci(j, ["x"], ["y"])
+    assert ci_residual(j, ["x"], ["y"]) <= DEFAULT_ATOL
 
 
 def test_mediated_independence_given_the_middle_wire():
@@ -61,14 +60,14 @@ def test_mediated_independence_given_the_middle_wire():
     for _ in range(10):
         j = _mediated_triple(rng)
         assert ci_residual(j, ["x"], ["y"], ["w"]) <= 1e-14
-        assert check_ci(j, ["x"], ["y"], ["w"])
+        assert ci_residual(j, ["x"], ["y"], ["w"]) <= DEFAULT_ATOL
 
 
 def test_perturbation_destroys_the_independence():
     rng = np.random.default_rng(32)
     j = perturbed(rng, _mediated_triple(rng), eps=0.05)
     assert ci_residual(j, ["x"], ["y"], ["w"]) > 1e-4
-    assert not check_ci(j, ["x"], ["y"], ["w"])
+    assert ci_residual(j, ["x"], ["y"], ["w"]) > DEFAULT_ATOL
 
 
 def test_verdicts_match_the_product_identity_oracle():
@@ -84,8 +83,8 @@ def test_verdicts_match_the_product_identity_oracle():
 def test_group_arguments_may_be_multi_wire():
     rng = np.random.default_rng(34)
     j = block_product_joint(rng, [["a", "b"], ["c", "d"]])
-    assert check_ci(j, ["a", "b"], ["c", "d"])
-    assert check_ci(j, ["a"], ["c"], ["b"])
+    assert ci_residual(j, ["a", "b"], ["c", "d"]) <= DEFAULT_ATOL
+    assert ci_residual(j, ["a"], ["c"], ["b"]) <= DEFAULT_ATOL
     assert product_identity_residual(j, ["a", "b"], ["c", "d"]) <= 1e-14
 
 
@@ -110,10 +109,10 @@ def test_pairwise_independent_but_not_mutually():
     j = JointState.from_array(
         arr, [("x", bit), ("y", bit), ("z", bit)]
     )
-    assert check_ci(j, ["x"], ["y"])
-    assert check_ci(j, ["x"], ["z"])
-    assert check_ci(j, ["y"], ["z"])
-    assert not check_mutual_ci(j, [["x"], ["y"], ["z"]])
+    assert ci_residual(j, ["x"], ["y"]) <= DEFAULT_ATOL
+    assert ci_residual(j, ["x"], ["z"]) <= DEFAULT_ATOL
+    assert ci_residual(j, ["y"], ["z"]) <= DEFAULT_ATOL
+    assert mutual_ci_residual(j, [["x"], ["y"], ["z"]]) > DEFAULT_ATOL
     assert mutual_ci_residual(j, [["x"], ["y"], ["z"]]) == pytest.approx(0.125)
 
 
@@ -141,9 +140,9 @@ def test_mutual_ci_verdict_matches_oracle_on_latent_mixtures():
     rng = np.random.default_rng(37)
     for _ in range(10):
         j = latent_blocks_joint(rng, "z", [["a"], ["b"], ["c"]])
-        assert check_mutual_ci(j, [["a"], ["b"], ["c"]], ["z"])
+        assert mutual_ci_residual(j, [["a"], ["b"], ["c"]], ["z"]) <= DEFAULT_ATOL
         assert mutual_product_residual(j, [["a"], ["b"], ["c"]], ["z"]) <= 1e-13
-        assert not check_mutual_ci(j, [["a"], ["b"], ["c"]])
+        assert mutual_ci_residual(j, [["a"], ["b"], ["c"]]) > DEFAULT_ATOL
 
 
 def test_extra_wires_are_marginalized_first():

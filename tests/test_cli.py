@@ -533,6 +533,39 @@ def test_check_cs_lines(tmp_path, capsys):
     assert out[0].startswith("FAIL cs-antecedent")
 
 
+def test_check_cs_antecedent_follows_finstoch_atol(tmp_path, capsys, monkeypatch):
+    # g moves f's row 0 by 1e-7, so the pairings differ by 5e-08 > 1e-12
+    a, y = carrier("a", 2), carrier("y", 2)
+    f = Kernel((a,), (y,), [[0.5, 0.5], [0.3, 0.7]])
+    g = Kernel((a,), (y,), [[0.5 + 1e-7, 0.5 - 1e-7], [0.3, 0.7]])
+    paths = [
+        write(tmp_path, "p.json", kernel_to_json(Kernel.state([0.5, 0.5], a))),
+        write(tmp_path, "f.json", kernel_to_json(f)),
+        write(tmp_path, "g.json", kernel_to_json(g)),
+    ]
+    code, out, _ = run(capsys, ["check-cs", *paths])
+    assert code == 1
+    assert out == ["FAIL cs-antecedent residual=5e-08", "PASS cs-as-equal residual=1e-07"]
+    monkeypatch.setenv("FINSTOCH_ATOL", "1e-3")
+    code, out, _ = run(capsys, ["check-cs", *paths])
+    assert code == 0
+    assert out == ["PASS cs-antecedent residual=5e-08", "PASS cs-as-equal residual=1e-07"]
+
+
+def test_check_cs_interface_errors_name_the_files(tmp_path, capsys):
+    a, y, z = carrier("a", 2), carrier("y", 2), carrier("z", 3)
+    p = write(tmp_path, "p.json", kernel_to_json(Kernel.state([0.5, 0.5], a)))
+    f = write(tmp_path, "f.json", kernel_to_json(Kernel((a,), (y,), [[1.0, 0.0], [0.0, 1.0]])))
+    g = write(tmp_path, "g3.json", kernel_to_json(Kernel((a,), (z,), [[1.0, 0.0, 0.0]] * 2)))
+    code, out, err = run(capsys, ["check-cs", p, f, g])
+    assert code == 2 and out == []
+    assert "g3.json" in err and "different interfaces" in err
+    # a kernel with inputs passed as the state
+    code, out, err = run(capsys, ["check-cs", f, f, f])
+    assert code == 2 and out == []
+    assert "f.json" in err and "does not land" in err
+
+
 def test_unreadable_inputs_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, ["validate-model", str(tmp_path / "missing.json")])
     assert code == 2 and "missing.json" in err

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import finstoch
 from finstoch import expand_ah_model, model_to_json
 
@@ -114,3 +116,32 @@ def test_first_access_loads_every_traced_layer():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+# boolean wrappers of residuals and unused exports, deleted from the API
+REMOVED = (
+    "check_ci",
+    "check_mutual_ci",
+    "check_local_markov",
+    "check_ordered_markov",
+    "check_compatible",
+    "check_invariance",
+    "as_equal",
+    "parametric_as_equal",
+    "verify_pushforward",
+    "statement_holds",
+    "CLOSURE_RULES",
+    "statement_key",
+    "ah_wires",
+)
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_names_are_not_exported(name):
+    assert name not in finstoch.__all__
+    with pytest.raises(AttributeError):
+        getattr(finstoch, name)
+
+
+def test_all_is_exactly_the_exported_names():
+    assert finstoch.__all__ == sorted(set().union(*finstoch._EXPORTS.values()))

@@ -1,9 +1,12 @@
 """Recomposition, screening-off checks, and constructive factorization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from finstoch import (
+    DEFAULT_ATOL,
     Box,
     BoxAssignment,
     JointState,
@@ -14,10 +17,7 @@ from finstoch import (
     UnknownNode,
     UnknownWire,
     WireMismatch,
-    as_equal,
-    check_compatible,
-    check_local_markov,
-    check_ordered_markov,
+    as_equal_residual,
     compatibility_residual,
     factorize,
     local_markov_residual,
@@ -27,6 +27,7 @@ from finstoch import (
     ordered_markov_residual,
     recompose,
     reindex,
+    uniform_state,
 )
 from support import (
     carrier,
@@ -117,9 +118,18 @@ def test_recompose_output_order_follows_the_model():
 
 
 def test_recompose_respects_the_entry_cap():
-    asg = _chain_assignment(np.random.default_rng(64))
-    with pytest.raises(SizeLimit):
-        recompose(CHAIN, asg, max_entries=4)
+    # three independent wires on 128-element carriers: 2**21 entries
+    big = carrier("big", 128)
+    m = make_model([Box(f"f{k}", (), (f"W{k}",)) for k in range(3)])
+    asg = BoxAssignment({w: big for w in m.wires}, {b.name: uniform_state(big) for b in m.boxes})
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit, match="entries exceed the cap"):
+            recompose(m, asg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _unit_chain(n):
@@ -169,8 +179,8 @@ def test_recomposed_states_satisfy_both_markov_properties():
         p = recompose(CHAIN, asg)
         assert local_markov_residual(p, CHAIN) <= 1e-12
         assert ordered_markov_residual(p, CHAIN) <= 1e-12
-        assert check_local_markov(p, CHAIN)
-        assert check_ordered_markov(p, CHAIN)
+        assert local_markov_residual(p, CHAIN) <= DEFAULT_ATOL
+        assert ordered_markov_residual(p, CHAIN) <= DEFAULT_ATOL
 
 
 def test_coupled_state_fails_every_notion():
@@ -178,7 +188,7 @@ def test_coupled_state_fails_every_notion():
     assert local_markov_residual(p, CHAIN) > 0.05
     assert ordered_markov_residual(p, CHAIN) > 0.05
     assert compatibility_residual(p, CHAIN) == pytest.approx(0.125)
-    assert not check_compatible(p, CHAIN)
+    assert compatibility_residual(p, CHAIN) > DEFAULT_ATOL
 
 
 def test_factorize_then_recompose_is_the_identity_on_compatible_states():
@@ -202,9 +212,7 @@ def test_factorized_kernels_agree_almost_surely_with_the_originals():
         if not b.in_wires:
             continue
         marg = reindex(marginalize(p, b.in_wires), list(b.in_wires)).kernel
-        assert as_equal(
-            back.kernels[b.name], asg.kernels[b.name], marg, atol=1e-9
-        )
+        assert as_equal_residual(back.kernels[b.name], asg.kernels[b.name], marg) <= 1e-9
 
 
 def test_factorize_fills_unobserved_rows_with_uniform():
@@ -236,7 +244,7 @@ def test_timing_choice_does_not_change_the_verdict():
         ordered_markov_residual(p, CHAIN)
     )
     bad = _coupled_chain_state()
-    assert not check_ordered_markov(bad, CHAIN, stretched)
+    assert ordered_markov_residual(bad, CHAIN, stretched) > DEFAULT_ATOL
     assert max_abs_diff(
         recompose(CHAIN, factorize(p, CHAIN, stretched)).kernel, p.kernel
     ) <= 1e-12
@@ -260,7 +268,7 @@ def test_alternative_timings_on_a_merge_model():
         {"alpha": 1, "beta": 3, "gamma": 2, "eta": 4},
     ):
         t = TimingFunction(times)
-        assert check_ordered_markov(p, m, t, atol=1e-9)
+        assert ordered_markov_residual(p, m, t) <= 1e-9
         r = recompose(m, factorize(p, m, t))
         assert np.abs(
             reindex(r, p.wire_names).kernel.matrix - p.kernel.matrix
@@ -284,9 +292,9 @@ def test_three_notions_agree_on_random_models():
         p = recompose(m, asg)
         if trial % 2:
             p = perturbed(rng, p, eps=0.05)
-        a = check_compatible(p, m, atol=1e-7)
-        b = check_local_markov(p, m, atol=1e-7)
-        c = check_ordered_markov(p, m, atol=1e-7)
+        a = compatibility_residual(p, m) <= 1e-7
+        b = local_markov_residual(p, m) <= 1e-7
+        c = ordered_markov_residual(p, m) <= 1e-7
         assert a == b == c
         if trial % 2 == 0:
             assert a

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from finstoch import (
+    DEFAULT_ATOL,
     BudgetExceeded,
     CIStatement,
     Derivation,
@@ -20,10 +21,9 @@ from finstoch import (
     UnknownWire,
     WireOverlap,
     build_ah_joint,
+    ci_residual,
     derivation_from_json,
     semigraphoid_closure,
-    statement_holds,
-    statement_key,
     validate_derivation,
 )
 from support import (
@@ -51,17 +51,16 @@ def test_statement_swap_and_text():
     s = st(["x"], ["y", "z"], ["w"])
     assert s.swapped() == st(["y", "z"], ["x"], ["w"])
     assert str(s) == "x _||_ y,z | w"
-    assert statement_key(s) == (("x",), ("y", "z"), ("w",))
 
 
 def test_statement_holds_numerically():
     rng = np.random.default_rng(51)
     j = block_product_joint(rng, [["x"], ["y"]])
-    assert statement_holds(st(["x"], ["y"]), j)
+    assert ci_residual(j, ["x"], ["y"]) <= DEFAULT_ATOL
     k = latent_blocks_joint(rng, "w", [["x"], ["y"]])
-    assert statement_holds(st(["x"], ["y"], ["w"]), k)
+    assert ci_residual(k, ["x"], ["y"], ["w"]) <= DEFAULT_ATOL
     # this mixture couples the latent to both blocks
-    assert not statement_holds(st(["x"], ["w"]), k, atol=1e-7)
+    assert ci_residual(k, ["x"], ["w"]) > 1e-7
 
 
 def test_symmetry_rule():
@@ -246,7 +245,7 @@ def test_closure_soundness_on_block_products():
         c = semigraphoid_closure(axioms, [w for b in blocks for w in b])
         assert c.complete
         for s in c.statements:
-            assert statement_holds(s, j, atol=1e-7), str(s)
+            assert ci_residual(j, s.left, s.right, s.given) <= 1e-7, str(s)
 
 
 def test_closure_soundness_on_markov_chains():
@@ -260,7 +259,7 @@ def test_closure_soundness_on_markov_chains():
         c = semigraphoid_closure(axioms, ["X1", "X2", "X3", "X4"])
         assert c.complete
         for s in c.statements:
-            assert statement_holds(s, j, atol=1e-7), str(s)
+            assert ci_residual(j, s.left, s.right, s.given) <= 1e-7, str(s)
 
 
 def test_closure_derivations_replay_for_every_statement():
@@ -371,7 +370,7 @@ def test_bundled_statements_hold_on_a_random_grid_joint(name):
     j = build_ah_joint(spec, expose_latents=True)
     d = _bundled(name)
     for s in d.statements():
-        assert statement_holds(s, j, atol=1e-9), str(s)
+        assert ci_residual(j, s.left, s.right, s.given) <= 1e-9, str(s)
 
 
 def test_entrywise_screening_is_reachable_from_the_bundled_axioms():

@@ -27,7 +27,7 @@ from finstoch import (
     JointState,
     Kernel,
     build_ah_joint,
-    statement_holds,
+    ci_residual,
     validate_derivation,
 )
 from finstoch.serialization import derivation_to_json
@@ -216,7 +216,7 @@ def main() -> None:
             raise SystemExit(f"{name}: {report.message}")
         for stmt in derivation.statements():
             for k, p in enumerate(joints):
-                if not statement_holds(stmt, p, atol=1e-9):
+                if not ci_residual(p, stmt.left, stmt.right, stmt.given) <= 1e-9:
                     raise SystemExit(f"{name}: false on joint {k}: {stmt}")
         path = OUT_DIR / f"{name}.json"
         path.write_text(
