@@ -6,8 +6,9 @@ raw (X_1..X_k, W) marginal of the state: the residual is the largest
 the largest part X_b kept as a joint marginal.  A conditioning cell has
 zero mass when p(w) is exactly 0; its conditionals are uniform and its
 recomposition is exactly 0, so the comparison is exact on support.  A
-statement validates nothing and allocates at most three arrays the size
-of the marginal.
+statement validates nothing.  Summing out the wires it does not name
+takes one gathering copy the size of the state; the residual itself
+allocates at most three arrays the size of the marginal.
 """
 
 from __future__ import annotations

@@ -93,7 +93,8 @@ def _wire_list(raw: str, flag: str) -> list[str]:
     """Split a comma-separated wire list; commas inside brackets bind tighter.
 
     This keeps grid names such as ``S[1,2]`` intact, so
-    ``--x S[1,1],S[1,2]`` names two wires.
+    ``--x S[1,1],S[1,2]`` names two wires.  A list that names one wire
+    twice is an input error naming the flag.
     """
     items: list[str] = []
     depth = 0
@@ -112,6 +113,9 @@ def _wire_list(raw: str, flag: str) -> list[str]:
     items = [s for s in items if s]
     if not items:
         raise ShapeMismatch(f"{flag} names no wires")
+    for i, w in enumerate(items):
+        if w in items[:i]:
+            raise ShapeMismatch(f"{flag} names {w!r} twice")
     return items
 
 

@@ -144,23 +144,36 @@ def contract(
 
     Each operand lists one label per axis, usually a wire name; axes with
     the same label share one index, and labels missing from ``out`` are
-    summed out.  Raises SizeLimit before any allocation: as soon as the
-    53rd distinct label arrives (numpy addresses 52), so operands may be
-    a lazy iterable of any length, or when the result would exceed
-    ``max_entries`` entries.
+    summed out by ``einsum``.  When ``out`` keeps every label nothing is
+    summed: the operands multiply one broadcast product at a time, last
+    operand first, the order numpy's optimized einsum multiplies them in
+    when it takes one step, so each entry keeps the bits einsum gives it.
+    Each partial product spans some of the result's axes, so none is
+    larger than the result.  Raises SizeLimit before any allocation: as
+    soon as the 53rd distinct label arrives (numpy addresses 52), so
+    operands may be a lazy iterable of any length, or when the result
+    would exceed ``max_entries`` entries.
     """
     index: dict[Hashable, int] = {}
-    size: dict[Hashable, int] = {}
-    args: list = []
+    size: dict[int, int] = {}
+    args: list[tuple[np.ndarray, list[int]]] = []
     for arr, labels in operands:
         for label, n in zip(labels, arr.shape):
             if index.setdefault(label, len(index)) == MAX_WIRES:
                 raise SizeLimit(f"more than the {MAX_WIRES} wires a contraction can address")
-            size[label] = n
-        args += [arr, [index[label] for label in labels]]
-    out = list(out)
-    _check_entries(math.prod(size[label] for label in out), max_entries)
-    return np.einsum(*args, [index[label] for label in out], optimize=True)
+            size[index[label]] = n
+        args.append((arr, [index[label] for label in labels]))
+    out = [index[label] for label in out]
+    _check_entries(math.prod(size[i] for i in out), max_entries)
+    if sorted(out) != list(range(len(index))):  # some label is summed out
+        return np.einsum(*itertools.chain.from_iterable(args), out, optimize=True)
+    result = np.ones(())
+    for arr, idx in reversed(args):
+        axes = sorted(set(idx), key=out.index)
+        # a view: the diagonal of any repeated label, axes in out's order
+        view = np.einsum(arr, idx, axes)
+        result = result * np.expand_dims(view, [k for k, i in enumerate(out) if i not in axes])
+    return result
 
 
 def max_abs_diff(f: Kernel, g: Kernel) -> float:
@@ -302,11 +315,17 @@ class JointState:
 
 
 def _marginal(arr: np.ndarray, names: Sequence[str], wires: Sequence[str]) -> np.ndarray:
-    """Raw marginal of ``arr`` (one axis per name) on ``wires``, in their order, C-contiguous."""
-    drop = tuple(i for i, w in enumerate(names) if w not in wires)
-    kept = [w for w in names if w in wires]
-    arr = arr.sum(axis=drop) if drop else arr
-    return np.ascontiguousarray(arr.transpose([kept.index(w) for w in wires]))
+    """Raw marginal of ``arr`` (one axis per name) on ``wires``, in their order, C-contiguous.
+
+    One gathering copy moves the summed axes first and the wanted wires
+    after them, in order; one sequential reduce over the summed block then
+    leaves the result C-contiguous.
+    """
+    drop = [i for i, w in enumerate(names) if w not in wires]
+    keep = [names.index(w) for w in wires]
+    shape = [arr.shape[i] for i in keep]
+    t = np.ascontiguousarray(arr.transpose(drop + keep)).reshape(-1, math.prod(shape))
+    return (np.add.reduce(t, axis=0) if drop else t).reshape(shape)
 
 
 def marginalize(p: JointState, keep: Iterable[str]) -> JointState:

@@ -124,6 +124,22 @@ def test_check_ci_unknown_wire_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error:") and "triple.json" in err
 
 
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["--x", "x,x", "--y", "y"], "--x"),
+        (["--x", "x", "--y", "y, y"], "--y"),
+        (["--x", "x", "--y", "y", "--given", "w,w"], "--given"),
+    ],
+)
+def test_check_ci_rejects_a_wire_repeated_within_one_list(tmp_path, capsys, flags, flag):
+    state = _triple_state(tmp_path)
+    code, out, err = run(capsys, ["check-ci", state, *flags])
+    assert code == 2
+    assert out == []
+    assert err.startswith(f"error: {flag} ") and "twice" in err
+
+
 def test_check_markov_default_runs_three_checks(chain_files, capsys):
     model, state = chain_files
     code, out, _ = run(capsys, ["check-markov", state, model])

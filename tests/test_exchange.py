@@ -37,6 +37,7 @@ from finstoch import (
     uniform_state,
     verify_ah_lemmas,
 )
+from finstoch.kernels import contract
 from support import (
     carrier,
     one_element_ahspec,
@@ -326,8 +327,10 @@ def test_grid_wire_cap_is_52():
             Kernel((carrier("a", 2),), (carrier("x", 2),), [[1.0, 0.0], [0.0, 1.0]]),
             10**5,
         ),
+        # nothing summed: the entry cap on the product fires before any multiply
+        lambda: contract(((np.full(2, 0.5), [k]) for k in range(21)), range(21)),
     ],
-    ids=["grid-300", "verify-1000", "sequence-1e5"],
+    ids=["grid-300", "verify-1000", "sequence-1e5", "product-2**21"],
 )
 def test_wire_cap_fires_before_the_operands_exist(build):
     tracemalloc.start()

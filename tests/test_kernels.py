@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from finstoch import (
     DEFAULT_ATOL,
@@ -38,7 +40,7 @@ from finstoch import (
     tensor,
     uniform_state,
 )
-from finstoch.kernels import _pairing
+from finstoch.kernels import _marginal, _pairing, contract
 from support import (
     carrier,
     random_carrier,
@@ -307,6 +309,54 @@ def test_reindex_transposes_the_array():
     assert np.allclose(got.array, [[0.2, 0.3], [0.2, 0.3]])
     with pytest.raises(ShapeMismatch):
         reindex(p, ["x", "x"])
+
+
+@hs.composite
+def _marginal_cases(draw):
+    """An array with planted zeros, its wire names, and wanted wires in shuffled order."""
+    sizes = draw(hs.lists(hs.integers(1, 3), max_size=5))
+    names = tuple(f"w{k}" for k in range(len(sizes)))
+    wires = draw(hs.permutations(names))[: draw(hs.integers(0, len(names)))]
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    arr = np.array(rng.random(sizes))  # 0-d when there are no wires
+    arr[rng.random(sizes) < draw(hs.floats(0.0, 0.7))] = 0.0
+    arr /= max(arr.sum(), 1.0)
+    return arr, names, wires
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_marginal_cases())
+def test_marginal_matches_a_loop_sum(case):
+    arr, names, wires = case
+    keep = [names.index(w) for w in wires]
+    want = np.zeros([arr.shape[k] for k in keep])
+    for cell in itertools.product(*map(range, arr.shape)):
+        want[tuple(cell[k] for k in keep)] += arr[cell]
+    got = _marginal(arr, names, wires)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.abs(got - want).max(initial=0.0) <= 1e-15
+
+
+_RNG = np.random.default_rng(7)
+
+
+@pytest.mark.parametrize(
+    "operands, out",
+    [
+        ([(_RNG.random((3, 3)), "ii"), (_RNG.random((3, 2)), "ij")], "ij"),
+        ([(np.array(0.5), ""), (_RNG.random((2, 3)), "ab")], "ab"),
+        ([(_RNG.random(2), "t"), (_RNG.random((2, 3)), "tr"), (_RNG.random((2, 4)), "tc")], "trc"),
+        ([(_RNG.random(2), "t"), (_RNG.random((3, 2)), "rt"), (_RNG.random((2, 4)), "tc")], "crt"),
+        ([(_RNG.random((2, 3)), "tr"), (_RNG.random((2, 4)), "tc")], "rc"),
+    ],
+    ids=["repeated-label", "0-d-operand", "shared-label", "out-reordered", "summed-label"],
+)
+def test_contract_matches_unoptimized_einsum(operands, out):
+    spec = ",".join(labels for _, labels in operands) + "->" + out
+    want = np.einsum(spec, *(arr for arr, _ in operands), optimize=False)
+    got = contract(operands, out)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-15
 
 
 def test_is_deterministic_thresholds():
