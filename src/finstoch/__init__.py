@@ -25,7 +25,6 @@ __version__ = "0.1.0"
 # Public names, by the module that defines them.
 _EXPORTS = {
     "ci": (
-        "PartitionReport",
         "check_partition_lemma",
         "ci_residual",
         "common_refinement",
@@ -53,7 +52,6 @@ _EXPORTS = {
         "adjacent_transpositions",
         "build_ah_joint",
         "build_definetti_joint",
-        "check_as_invariance",
         "decode_names",
         "grid_transpositions",
         "invariance_residual",
@@ -75,17 +73,12 @@ _EXPORTS = {
         "deterministic_kernel",
         "discard_kernel",
         "identity",
-        "is_deterministic",
         "marginalize",
         "max_abs_diff",
-        "param_lift",
-        "parametric_compose",
         "parametric_cs_check",
-        "parametric_tensor",
         "reindex",
         "swap_kernel",
         "tensor",
-        "uniform_state",
     ),
     "markov": (
         "BoxAssignment",

@@ -14,13 +14,12 @@ allocates at most three arrays the size of the marginal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import NotAPartition, WireOverlap
-from .kernels import DEFAULT_ATOL, JointState, _marginal, _normalize
+from .kernels import JointState, _marginal, _normalize
 
 WireGroup = Iterable[str]
 
@@ -76,16 +75,6 @@ def ci_residual(
     return mutual_ci_residual(p, [x, y], given)
 
 
-@dataclass(frozen=True)
-class PartitionReport:
-    """Premises and conclusion of the two-partition independence check."""
-
-    premise_left: bool
-    premise_right: bool
-    conclusion: bool
-    residuals: tuple[float, float, float]
-
-
 def common_refinement(
     blocks1: Sequence[WireGroup], blocks2: Sequence[WireGroup]
 ) -> list[frozenset[str]]:
@@ -109,21 +98,16 @@ def check_partition_lemma(
     blocks1: Sequence[WireGroup],
     blocks2: Sequence[WireGroup],
     given: WireGroup = (),
-    atol: float = DEFAULT_ATOL,
-) -> PartitionReport:
-    """Check joint independence for two partitions and their refinement.
+) -> tuple[float, float, float]:
+    """Joint-independence residuals of two partitions and their refinement.
 
     Whenever both premises hold the conclusion must hold as well; the
-    three checks are reported independently so a failed premise is
+    three residuals are returned separately so a failed premise is
     visible rather than vacuously passing.
     """
     refinement = common_refinement(blocks1, blocks2)
-    r1 = mutual_ci_residual(p, list(blocks1), given)
-    r2 = mutual_ci_residual(p, list(blocks2), given)
-    r3 = mutual_ci_residual(p, refinement, given)
-    return PartitionReport(
-        premise_left=r1 <= atol,
-        premise_right=r2 <= atol,
-        conclusion=r3 <= atol,
-        residuals=(r1, r2, r3),
+    return (
+        mutual_ci_residual(p, list(blocks1), given),
+        mutual_ci_residual(p, list(blocks2), given),
+        mutual_ci_residual(p, refinement, given),
     )

@@ -25,12 +25,12 @@ from .kernels import (
     FinSet,
     JointState,
     Kernel,
-    as_equal_residual,
     contract,
 )
 
-_SEQ_RE = re.compile(r"^(?P<prefix>.*)\[(?P<i>\d+)\]$")
-_GRID_RE = re.compile(r"^(?P<prefix>.*)\[(?P<i>\d+),(?P<j>\d+)\]$")
+# positions as _Naming.rename spells them: from 1, without leading zeros
+_SEQ_RE = re.compile(r"^(?P<prefix>.*)\[(?P<i>[1-9][0-9]*)\]$")
+_GRID_RE = re.compile(r"^(?P<prefix>.*)\[(?P<i>[1-9][0-9]*),(?P<j>[1-9][0-9]*)\]$")
 
 
 @dataclass(frozen=True)
@@ -106,87 +106,58 @@ class _Naming:
 
 
 def decode_names(names: Sequence[str]) -> _Naming:
-    """Decode wire names as a complete grid P[i,j] or sequence P[i]."""
+    """Decode wire names as a complete grid P[i,j] or sequence P[i].
+
+    Each position is named exactly once and spelled as ``_Naming.rename``
+    spells it, without leading zeros.  The work is linear in the names;
+    no index set is built from the largest index.
+    """
     if not names:
         raise BadWireNaming("no wires to decode")
-    grid = all(_GRID_RE.match(n) for n in names)
-    seq = not grid and all(_SEQ_RE.match(n) for n in names)
-    if not grid and not seq:
+    kind, matches = "grid", [_GRID_RE.match(w) for w in names]
+    if not all(matches):
+        kind, matches = "sequence", [_SEQ_RE.match(w) for w in names]
+    if not all(matches):
         raise BadWireNaming(
-            "wire names must all look like P[i] or all like P[i,j]"
+            "wire names must all look like P[i] or all like P[i,j], "
+            "positions from 1 without leading zeros"
         )
-    rx = _GRID_RE if grid else _SEQ_RE
-    prefixes = {rx.match(n)["prefix"] for n in names}
+    prefixes = {m["prefix"] for m in matches}
     if len(prefixes) != 1:
         raise BadWireNaming(f"inconsistent wire prefixes {sorted(prefixes)}")
     (pfx,) = prefixes
-    if grid:
-        cells = {(int(rx.match(n)["i"]), int(rx.match(n)["j"])) for n in names}
-        rows = max(i for i, _ in cells)
-        cols = max(j for _, j in cells)
-        if cells != {(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)}:
-            raise BadWireNaming("grid positions are not a complete 1..m x 1..n")
-        return _Naming("grid", pfx, rows, cols)
-    positions = {int(rx.match(n)["i"]) for n in names}
-    n = max(positions)
-    if positions != set(range(1, n + 1)):
-        raise BadWireNaming("sequence positions are not a complete 1..n")
-    return _Naming("sequence", pfx, n, 1)
-
-
-def _axis_order(
-    naming: _Naming, sigma: PermSpec, names: Sequence[str], carriers: Sequence[FinSet]
-) -> list[int]:
-    """Axes of the factors named ``names`` in the order sigma moves them to.
-
-    Transposing by this order gives the image under sigma.  Raises
-    DomainMismatch when a position and its image carry different
-    carriers, since the image is then no state on the same factors.
-    """
-    naming.check_perm(sigma)
-    renamed = [naming.rename(w, sigma) for w in names]
-    order = [renamed.index(w) for w in names]
-    if any(carriers[k] != c for k, c in zip(order, carriers)):
-        raise DomainMismatch("carriers differ across permuted positions")
-    return order
+    n = len(names)
+    # an index with more digits than n is out of range, and n + 1 stands in for it
+    cells = {
+        tuple(int(k) if len(k) <= len(str(n)) else n + 1 for k in m.groups()[1:])
+        for m in matches
+    }
+    rows = max(c[0] for c in cells)
+    cols = max(c[1] for c in cells) if kind == "grid" else 1
+    # n distinct cells within 1..rows x 1..cols fill it exactly when rows * cols == n
+    if len(cells) != n or rows * cols != n:
+        shape = "1..m x 1..n" if kind == "grid" else "1..n"
+        raise BadWireNaming(f"{kind} positions are not a complete {shape}, each named once")
+    return _Naming(kind, pfx, rows, cols)
 
 
 def invariance_residual(p: JointState, generators: Iterable[PermSpec]) -> float:
-    """Largest deviation of p from its image under each generator."""
+    """Largest deviation of p from its image under each generator.
+
+    Raises DomainMismatch when a position and its image carry different
+    carriers, since the image is then no state on the same factors.
+    """
     naming = decode_names(p.wire_names)
+    carriers = p.kernel.cod
     worst = 0.0
     for sigma in generators:
-        order = _axis_order(naming, sigma, p.wire_names, p.kernel.cod)
+        naming.check_perm(sigma)
+        renamed = [naming.rename(w, sigma) for w in p.wire_names]
+        order = [renamed.index(w) for w in p.wire_names]  # transposing by it gives the image
+        if any(carriers[k] != c for k, c in zip(order, carriers)):
+            raise DomainMismatch("carriers differ across permuted positions")
         worst = max(worst, float(np.abs(p.array.transpose(order) - p.array).max()))
     return worst
-
-
-def check_as_invariance(
-    p: Kernel,
-    m: Kernel,
-    generators: Iterable[PermSpec],
-    wire_names: Sequence[str],
-    atol: float = DEFAULT_ATOL,
-) -> bool:
-    """Almost-sure invariance of a kernel under output permutations.
-
-    The codomain factors of p are named like grid or sequence wires;
-    each generator permutes them, and the permuted kernel must agree
-    with p on the support of the input state m.
-    """
-    if len(wire_names) != len(p.cod):
-        raise ShapeMismatch("one name per codomain factor is required")
-    if m.cod != p.dom:
-        raise DomainMismatch("state does not land in the kernel's domain")
-    naming = decode_names(wire_names)
-    ndom = len(p.dom)
-    for sigma in generators:
-        order = _axis_order(naming, sigma, wire_names, p.cod)
-        arr = p.array.transpose(list(range(ndom)) + [ndom + k for k in order])
-        moved = Kernel(p.dom, p.cod, arr.reshape(p.matrix.shape))
-        if as_equal_residual(moved, p, m, atol) > atol:
-            return False
-    return True
 
 
 def build_definetti_joint(
@@ -281,14 +252,6 @@ class AHLemmaReport:
     entry_separated: bool  # each S[i,j] vs. unrelated tails and entries
     tails_independent: bool  # all R[i], C[j] jointly, given T
     residuals: tuple[float, float, float]
-
-    @property
-    def all_hold(self) -> bool:
-        return (
-            self.entries_independent
-            and self.entry_separated
-            and self.tails_independent
-        )
 
 
 def verify_ah_lemmas(spec: AHSpec, atol: float = DEFAULT_ATOL) -> AHLemmaReport:

@@ -248,12 +248,6 @@ def swap_kernel(x: FinSet | Iterable[FinSet], y: FinSet | Iterable[FinSet]) -> K
     return _point_masses(xs + ys, ys + xs, lambda i: i % ny * nx + i // ny)
 
 
-def uniform_state(factors: FinSet | Iterable[FinSet]) -> Kernel:
-    fs = _factors(factors)
-    n = _flat_size(fs)
-    return Kernel.state(np.full(n, 1.0 / n), fs)
-
-
 def compose(g: Kernel, f: Kernel) -> Kernel:
     """Sequential composite g after f, by the Chapman-Kolmogorov sum."""
     if f.cod != g.dom:
@@ -347,16 +341,6 @@ def reindex(p: JointState, order: Sequence[str]) -> JointState:
     )
 
 
-def is_deterministic(f: Kernel, atol: float = DEFAULT_ATOL) -> bool:
-    """True iff every row is a point mass within atol.
-
-    For finite kernels this is equivalent to copy-naturality: the
-    composite of f with copy equals copy followed by f on both branches.
-    """
-    m = f.matrix
-    return bool(np.all((m <= atol) | (m >= 1.0 - atol)))
-
-
 def _normalize(t: np.ndarray, axis: int) -> np.ndarray:
     """Divide t by its sums along axis; uniform where a sum is exactly 0.
 
@@ -419,10 +403,6 @@ class CSReport:
     consequent_holds: bool
     antecedent_residual: float
     consequent_residual: float
-
-    @property
-    def implication_holds(self) -> bool:
-        return (not self.antecedent_holds) or self.consequent_holds
 
 
 def _pairing(u: Kernel, v: Kernel, p: Kernel) -> Kernel:
@@ -496,36 +476,12 @@ class ParamKernel:
         return [Kernel(self.dom, self.cod, t[:, w, :]) for w in range(nw)]
 
 
-def _stack(slices: Sequence[Kernel], param: FinSet) -> ParamKernel:
-    """The parametric kernel whose slice at the w-th value of param is slices[w]."""
-    k = slices[0]
-    mat = np.stack([s.matrix for s in slices], axis=1)
-    return ParamKernel(Kernel(k.dom + (param,), k.cod, mat.reshape(-1, mat.shape[2])))
-
-
 def _shared_param(*ks: ParamKernel) -> FinSet:
     """The parameter factor all of ks carry; ParamMismatch if they differ."""
     if any(k.param != ks[0].param for k in ks):
         labels = " vs ".join(repr(k.param.label) for k in ks)
         raise ParamMismatch(f"parameter factors differ ({labels})")
     return ks[0].param
-
-
-def param_lift(k: Kernel, param: FinSet) -> ParamKernel:
-    """View an ordinary kernel as parametric, ignoring the parameter."""
-    return _stack([k] * param.size, param)
-
-
-def parametric_compose(g: ParamKernel, f: ParamKernel) -> ParamKernel:
-    """Composite that feeds one shared parameter value to both factors."""
-    w = _shared_param(f, g)
-    return _stack([compose(gs, fs) for fs, gs in zip(f.slices(), g.slices())], w)
-
-
-def parametric_tensor(f: ParamKernel, g: ParamKernel) -> ParamKernel:
-    """Parallel composite that copies the shared parameter to both legs."""
-    w = _shared_param(f, g)
-    return _stack([tensor(fs, gs) for fs, gs in zip(f.slices(), g.slices())], w)
 
 
 def parametric_cs_check(p: ParamKernel, f: ParamKernel, g: ParamKernel) -> CSReport:

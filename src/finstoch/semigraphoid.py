@@ -235,10 +235,16 @@ class Closure:
     axioms: tuple[CIStatement, ...]
     provenance: Mapping[CIStatement, Provenance] = field(repr=False)
 
-    def derivation(self, stmt: CIStatement) -> Derivation:
-        """A replayable derivation of one closure statement from the axioms."""
-        if stmt not in self.statements:
-            raise UnknownWire(f"statement not in closure: {stmt}")
+    def derivation(self, *goals: CIStatement) -> Derivation:
+        """A replayable derivation of closure statements from the axioms.
+
+        The goals are visited in turn, each after the premises it rests
+        on, and no statement is derived twice, so the first goal gets the
+        steps it gets alone.
+        """
+        for stmt in goals:
+            if stmt not in self.statements:
+                raise UnknownWire(f"statement not in closure: {stmt}")
         order: list[CIStatement] = []
         seen: set[CIStatement] = set()
 
@@ -252,7 +258,8 @@ class Closure:
             if rule != "axiom":
                 order.append(s)
 
-        visit(stmt)
+        for stmt in goals:
+            visit(stmt)
         index = {s: i for i, s in enumerate(self.axioms)}
         steps = []
         for s in order:

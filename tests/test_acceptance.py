@@ -268,9 +268,9 @@ def test_partition_lemma():
             given = []
         b1 = _random_partition(rng, wires, 2)
         b2 = _random_partition(rng, wires, int(rng.integers(2, len(wires) + 1)))
-        rep = check_partition_lemma(p, b1, b2, given, atol=1e-9)
-        worst_premise = max(worst_premise, rep.residuals[0], rep.residuals[1])
-        all_ok = all_ok and rep.premise_left and rep.premise_right and rep.conclusion
+        residuals = check_partition_lemma(p, b1, b2, given)
+        worst_premise = max(worst_premise, residuals[0], residuals[1])
+        all_ok = all_ok and max(residuals) <= 1e-9
     _report(
         "partition-lemma",
         all_ok and worst_premise <= 1e-12,

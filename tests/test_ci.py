@@ -171,40 +171,38 @@ def test_common_refinement_rejects_bad_partitions():
 def test_partition_report_on_identical_partitions():
     rng = np.random.default_rng(39)
     j = block_product_joint(rng, [["a"], ["b"], ["c"]])
-    rep = check_partition_lemma(j, [["a"], ["b", "c"]], [["a"], ["b", "c"]])
-    assert rep.premise_left and rep.premise_right and rep.conclusion
-    assert rep.residuals[0] == rep.residuals[1]
+    residuals = check_partition_lemma(j, [["a"], ["b", "c"]], [["a"], ["b", "c"]])
+    assert max(residuals) <= DEFAULT_ATOL
+    assert residuals[0] == residuals[1]
 
 
 def test_partition_conclusion_refines_both_premises():
     rng = np.random.default_rng(40)
     for _ in range(20):
         j = block_product_joint(rng, [["a"], ["b"], ["c"], ["d"]])
-        rep = check_partition_lemma(
+        residuals = check_partition_lemma(
             j, [["a", "b"], ["c", "d"]], [["a", "c"], ["b", "d"]]
         )
-        assert rep.premise_left and rep.premise_right
-        assert rep.conclusion
-        assert max(rep.residuals) <= 1e-12
+        assert max(residuals) <= 1e-12
 
 
 def test_partition_with_conditioning_wires():
     rng = np.random.default_rng(41)
     j = latent_blocks_joint(rng, "z", [["a"], ["b"], ["c"]])
-    rep = check_partition_lemma(
+    residuals = check_partition_lemma(
         j, [["a", "b"], ["c"]], [["a"], ["b", "c"]], given=["z"]
     )
-    assert rep.premise_left and rep.premise_right and rep.conclusion
+    assert max(residuals) <= DEFAULT_ATOL
 
 
 def test_failed_premise_is_reported_not_hidden():
     rng = np.random.default_rng(42)
     j = perturbed(rng, block_product_joint(rng, [["a"], ["b"], ["c"]]), eps=0.15)
-    rep = check_partition_lemma(
+    residuals = check_partition_lemma(
         j, [["a", "b"], ["c"]], [["a"], ["b", "c"]]
     )
-    assert not (rep.premise_left and rep.premise_right and rep.conclusion)
-    assert len(rep.residuals) == 3
+    assert len(residuals) == 3
+    assert max(residuals) > DEFAULT_ATOL
 
 
 def _loop_mutual_residual(p, parts, given=()):

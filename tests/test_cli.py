@@ -253,6 +253,26 @@ def test_check_exchangeable_rejects_unequal_carriers(tmp_path, capsys):
     assert err.count("mixed.json") == 1 and "carriers differ" in err
 
 
+@pytest.mark.parametrize(
+    "wires, grid",
+    [
+        (["X[1]", "X[01]"], []),
+        (["X[1]", "X[01]"], ["--grid", "1"]),
+        (["X[01]", "X[2]"], []),
+        (["S[1,1]", "S[1,01]", "S[1,2]"], []),
+    ],
+)
+def test_check_exchangeable_rejects_a_position_not_named_once_canonically(
+    tmp_path, capsys, wires, grid
+):
+    state = write(tmp_path, "named.json", _uniform_doc(wires, ["bit"] * len(wires)))
+    code, out, err = run(capsys, ["check-exchangeable", state, *grid])
+    assert code == 2
+    assert out == []
+    assert err.startswith(f"error: {state}: ")
+    assert "unexpected" not in err
+
+
 def test_check_markov_timing_file(chain_files, tmp_path, capsys):
     model, state = chain_files
     good = write(tmp_path, "t.json", {"f1": 1, "f2": 5, "f3": 9})

@@ -27,18 +27,13 @@ from finstoch import (
     deterministic_kernel,
     discard_kernel,
     identity,
-    is_deterministic,
     marginalize,
     max_abs_diff,
-    param_lift,
-    parametric_compose,
     parametric_cs_check,
-    parametric_tensor,
     ParamKernel,
     reindex,
     swap_kernel,
     tensor,
-    uniform_state,
 )
 from finstoch.kernels import _marginal, _pairing, contract
 from support import (
@@ -160,7 +155,7 @@ def test_tensor_interchange_with_compose():
 
 def test_structure_maps_are_deterministic():
     for k in (identity(A), copy_kernel(A), discard_kernel(A), swap_kernel(A, B)):
-        assert is_deterministic(k)
+        assert np.isin(k.matrix, (0.0, 1.0)).all()
 
 
 def test_copy_rows_are_diagonal_point_masses():
@@ -220,7 +215,8 @@ def test_tensor_and_compose_share_the_entry_cap():
         tensor(identity(carrier("a", 40)), identity(carrier("b", 40)))
     # 2000 x 1000 entries from a 2000 x 1 and a 1 x 1000 matrix
     with pytest.raises(SizeLimit):
-        compose(uniform_state(carrier("u", 1000)), discard_kernel(carrier("d", 2000)))
+        u = Kernel.state(np.full(1000, 1e-3), carrier("u", 1000))
+        compose(u, discard_kernel(carrier("d", 2000)))
 
 
 def test_tensor_cap_fires_before_the_product_is_allocated():
@@ -260,7 +256,7 @@ def test_copy_naturality_residual_for_a_fair_coin():
     lhs = compose(copy_kernel(A), f)
     rhs = compose(tensor(f, f), copy_kernel(()))
     assert max_abs_diff(lhs, rhs) == pytest.approx(0.25)
-    assert not is_deterministic(f)
+    assert not np.isin(f.matrix, (0.0, 1.0)).all()
 
 
 def test_copy_naturality_exact_for_deterministic():
@@ -268,7 +264,7 @@ def test_copy_naturality_exact_for_deterministic():
     d = carrier("D", 3)
     values = list(rng.integers(0, 2, size=3))
     f = deterministic_kernel(d, A, lambda xs: (str(values[d.index(xs[0])]),))
-    assert is_deterministic(f)
+    assert np.isin(f.matrix, (0.0, 1.0)).all()
     lhs = compose(copy_kernel(A), f)
     rhs = compose(tensor(f, f), copy_kernel(d))
     assert max_abs_diff(lhs, rhs) == 0.0
@@ -277,11 +273,6 @@ def test_copy_naturality_exact_for_deterministic():
 def test_deterministic_kernel_arity_check():
     with pytest.raises(ShapeMismatch):
         deterministic_kernel(A, (A, B), lambda xs: xs)
-
-
-def test_uniform_state():
-    u = uniform_state((A, B))
-    assert np.allclose(u.matrix, 0.25)
 
 
 def test_marginalize_keeps_listed_wires():
@@ -357,11 +348,6 @@ def test_contract_matches_unoptimized_einsum(operands, out):
     got = contract(operands, out)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-15
-
-
-def test_is_deterministic_thresholds():
-    assert is_deterministic(Kernel((A,), (B,), [[1.0, 0.0], [0.0, 1.0]]))
-    assert not is_deterministic(Kernel((A,), (B,), [[0.5, 0.5], [0.0, 1.0]]))
 
 
 def test_conditional_of_a_product_state_is_constant():
@@ -445,7 +431,6 @@ def test_cs_check_equal_kernels():
     rep = cs_check(p, f, f)
     assert rep.antecedent_holds and rep.consequent_holds
     assert rep.antecedent_residual == 0.0
-    assert rep.implication_holds
 
 
 def test_cs_check_off_support_difference_keeps_antecedent():
@@ -457,7 +442,6 @@ def test_cs_check_off_support_difference_keeps_antecedent():
     assert rep.antecedent_residual == 0.0
     assert rep.antecedent_holds
     assert rep.consequent_holds
-    assert rep.implication_holds
 
 
 def test_cs_check_on_support_difference_breaks_antecedent():
@@ -467,7 +451,6 @@ def test_cs_check_on_support_difference_breaks_antecedent():
     rep = cs_check(p, f, g)
     assert not rep.antecedent_holds
     assert rep.antecedent_residual > 1e-3
-    assert rep.implication_holds  # vacuously
 
 
 def test_cs_check_with_a_kernel_as_reference():
@@ -504,58 +487,16 @@ def test_cs_check_pairings_are_not_held_to_the_entry_cap():
 # parametric kernels
 
 
-def test_param_lift_slices_are_constant():
-    rng = np.random.default_rng(18)
-    k = random_kernel(rng, A, B)
-    w = carrier("W", 3)
-    pk = param_lift(k, w)
-    assert pk.param == w
-    assert pk.dom == (A,)
-    for s in pk.slices():
-        assert max_abs_diff(s, k) == 0.0
-
-
-def test_parametric_compose_agrees_with_plain_compose_per_slice():
-    rng = np.random.default_rng(19)
-    w = carrier("W", 2)
-    f = ParamKernel(random_kernel(rng, (A, w), B))
-    g = ParamKernel(random_kernel(rng, (B, w), C))
-    got = parametric_compose(g, f)
-    for fs, gs, hs in zip(f.slices(), g.slices(), got.slices()):
-        assert max_abs_diff(compose(gs, fs), hs) <= 1e-14
-
-
-def test_parametric_compose_single_parameter_value_is_plain_composition():
-    rng = np.random.default_rng(20)
-    w = carrier("W", 1)
-    f0, g0 = random_kernel(rng, A, B), random_kernel(rng, B, C)
-    got = parametric_compose(param_lift(g0, w), param_lift(f0, w))
-    assert max_abs_diff(got.slices()[0], compose(g0, f0)) <= 1e-14
-
-
-def test_parametric_tensor_copies_the_parameter():
-    rng = np.random.default_rng(21)
-    w = carrier("W", 2)
-    f = ParamKernel(random_kernel(rng, (A, w), B))
-    g = ParamKernel(random_kernel(rng, (C, w), C))
-    got = parametric_tensor(f, g)
-    for fs, gs, hs in zip(f.slices(), g.slices(), got.slices()):
-        assert max_abs_diff(tensor(fs, gs), hs) <= 1e-14
-
-
 def test_parametric_mismatched_parameters_raise():
     rng = np.random.default_rng(22)
-    f = ParamKernel(random_kernel(rng, (A, carrier("W", 2)), B))
-    g = ParamKernel(random_kernel(rng, (B, carrier("V", 2)), C))
+    p = ParamKernel(random_kernel(rng, carrier("W", 2), A))
+    f = ParamKernel(random_kernel(rng, (A, carrier("V", 2)), B))
     with pytest.raises(ParamMismatch):
-        parametric_compose(g, f)
-    with pytest.raises(ParamMismatch):
-        parametric_tensor(f, g)
+        parametric_cs_check(p, f, f)
     # a shorter parameter must not truncate the slice-wise check
     p = ParamKernel(random_kernel(rng, carrier("V", 3), A))
-    f2 = ParamKernel(random_kernel(rng, (A, carrier("V", 2)), B))
     with pytest.raises(ParamMismatch):
-        parametric_cs_check(p, f2, f2)
+        parametric_cs_check(p, f, f)
 
 
 def test_parametric_as_equal_is_slice_wise():
@@ -591,7 +532,6 @@ def test_parametric_cs_check_implication():
     rep = parametric_cs_check(p, f, g)
     assert rep.antecedent_residual == 0.0
     assert rep.consequent_holds
-    assert rep.implication_holds
 
 
 def test_max_abs_diff_requires_matching_interfaces():

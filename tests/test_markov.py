@@ -27,7 +27,6 @@ from finstoch import (
     ordered_markov_residual,
     recompose,
     reindex,
-    uniform_state,
 )
 from support import (
     carrier,
@@ -121,7 +120,7 @@ def test_recompose_respects_the_entry_cap():
     # three independent wires on 128-element carriers: 2**21 entries
     big = carrier("big", 128)
     m = make_model([Box(f"f{k}", (), (f"W{k}",)) for k in range(3)])
-    asg = BoxAssignment({w: big for w in m.wires}, {b.name: uniform_state(big) for b in m.boxes})
+    asg = BoxAssignment({w: big for w in m.wires}, {b.name: Kernel.state(np.full(128, 1 / 128), big) for b in m.boxes})
     tracemalloc.start()
     try:
         with pytest.raises(SizeLimit, match="entries exceed the cap"):

@@ -1,6 +1,7 @@
 """Symbolic independence statements, rule checking, replay, and closure."""
 
 import json
+import re
 from importlib import resources
 
 import itertools
@@ -312,6 +313,16 @@ def test_closure_is_closed_under_the_four_rules(case):
         for p1, p2 in itertools.product(group, repeat=2):
             if p1.given == p2.right | p2.given:
                 assert st(p2.left, p2.right | p1.right, p2.given) in c.statements
+    # every statement as a goal of one derivation: each derived exactly once
+    goals = sorted(c.statements, key=str)
+    d = c.derivation(*goals)
+    assert validate_derivation(d).ok
+    derived = [step.conclusion for step in d.steps]
+    assert len(set(derived)) == len(derived)
+    assert set(goals) <= set(d.axioms) | set(derived)
+    # the first goal is derived as it is alone
+    alone = c.derivation(goals[-1]).steps
+    assert c.derivation(goals[-1], *goals).steps[: len(alone)] == alone
 
 
 def test_partial_closures_grow_with_the_budget():
@@ -338,6 +349,9 @@ def test_closure_derivation_of_unknown_statement_fails():
     c = semigraphoid_closure([st(["a"], ["b"])], ["a", "b", "c"])
     with pytest.raises(UnknownWire):
         c.derivation(st(["a"], ["c"]))
+    outside = st(["b"], ["c"], ["a"])
+    with pytest.raises(UnknownWire, match=re.escape(str(outside))):
+        c.derivation(st(["b"], ["a"]), outside)
 
 
 # ---------------------------------------------------------------------------

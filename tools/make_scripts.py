@@ -2,37 +2,41 @@
 
 Each script is a replayable proof over the nine wires of the 2x2 latent
 grid: the shared latent T, row tails R[i], column tails C[j], and
-entries S[i,j].  Before writing, every derivation is validated step by
-step and every axiom and conclusion is checked numerically on random
-latent-exposed grid joints, so the bundled files are both sound proofs
-and true statements about the construction they describe.
+entries S[i,j].  A script is stated as axioms and goals only; its steps
+are the semigraphoid closure's derivation of the goals from the axioms,
+so a change to the closure that moves a derivation changes the files.
+Before writing, every derivation is validated step by step and every
+axiom and conclusion is checked numerically on random latent-exposed
+grid joints, so the bundled files are both sound proofs and true
+statements about the construction they describe.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import sys
 
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from finstoch import (
     AHSpec,
     CIStatement,
-    Derivation,
-    DerivationStep,
     FinSet,
     JointState,
     Kernel,
     build_ah_joint,
     ci_residual,
+    semigraphoid_closure,
     validate_derivation,
 )
 from finstoch.serialization import derivation_to_json
 
-OUT_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "finstoch" / "scripts"
+OUT_DIR = ROOT / "src" / "finstoch" / "scripts"
 
 T = "T"
 R1, R2 = "R[1]", "R[2]"
@@ -47,149 +51,77 @@ def st(left, right, given=()) -> CIStatement:
     return CIStatement(as_set(left), as_set(right), as_set(given))
 
 
-def entry_independence() -> Derivation:
-    """One entry is independent of the other entries given every tail.
-
-    The axioms say each later entry is independent of everything earlier
-    except its own tails, given those tails; weak union moves the spare
-    symbols into the conditioning set and contraction stitches the
-    entries together one at a time.
-    """
-    axioms = (
-        st(S12, {R2, C1, S11}, {R1, T, C2}),
-        st(S21, {R1, C2, S11, S12}, {R2, T, C1}),
-        st(S22, {R1, C1, S11, S12, S21}, {R2, T, C2}),
-    )
-    steps = (
-        DerivationStep("symmetry", (0,), st({R2, C1, S11}, S12, {R1, T, C2})),
-        DerivationStep("weak_union", (3,), st(S11, S12, TAILS)),
-        DerivationStep("symmetry", (1,), st({R1, C2, S11, S12}, S21, {R2, T, C1})),
-        DerivationStep("weak_union", (5,), st(S11, S21, TAILS | {S12})),
-        DerivationStep("contraction", (6, 4), st(S11, {S12, S21}, TAILS)),
-        DerivationStep("symmetry", (2,), st({R1, C1, S11, S12, S21}, S22, {R2, T, C2})),
-        DerivationStep("weak_union", (8,), st(S11, S22, TAILS | {S12, S21})),
-        DerivationStep("contraction", (9, 7), st(S11, {S12, S21, S22}, TAILS)),
-    )
-    return Derivation(SYMBOLS, axioms, steps)
+# each tail is independent of the other three tails given the latent
+TAIL_SPLITS = tuple(st(x, TAILS - {x, T}, T) for x in (R1, R2, C1, C2))
 
 
-def entry_separation() -> Derivation:
-    """One entry is independent of the unrelated row, column, and entry.
-
-    The axioms peel the unrelated tails off one at a time given the
-    shared latent; two contractions merge them, weak union localizes the
-    statement to the entry, and a symmetry/decomposition coda extracts
-    the diagonal-entry corollary.
-    """
-    axioms = (
-        st({S11, R1, C1}, R2, T),
-        st({S11, R1, C1}, C2, {T, R2}),
-        st({S11, R1, C1}, S22, {T, R2, C2}),
-    )
-    steps = (
-        DerivationStep("contraction", (1, 0), st({S11, R1, C1}, {R2, C2}, T)),
-        DerivationStep("contraction", (2, 3), st({S11, R1, C1}, {R2, C2, S22}, T)),
-        DerivationStep("weak_union", (4,), st(S11, {R2, C2, S22}, {T, R1, C1})),
-        DerivationStep("symmetry", (5,), st({R2, C2, S22}, S11, {T, R1, C1})),
-        DerivationStep("decomposition", (6,), st(S22, S11, {T, R1, C1})),
-        DerivationStep("symmetry", (7,), st(S11, S22, {T, R1, C1})),
-    )
-    return Derivation(SYMBOLS, axioms, steps)
-
-
-def tail_independence() -> Derivation:
-    """Each tail is independent of the other three tails given the latent.
-
-    From the row/column split and the two within-kind independences,
-    contraction produces the first two singleton statements and the
-    partition rule transports them across the split to the other two.
-    """
-    axioms = (
-        st({R1, R2}, {C1, C2}, T),
-        st(R1, R2, T),
-        st(C1, C2, T),
-    )
-    steps = (
-        DerivationStep("weak_union", (0,), st(R1, {C1, C2}, {T, R2})),
-        DerivationStep("contraction", (3, 1), st(R1, {R2, C1, C2}, T)),
-        DerivationStep("partition", (0, 4), st(R2, {R1, C1, C2}, T)),
-        DerivationStep("symmetry", (0,), st({C1, C2}, {R1, R2}, T)),
-        DerivationStep("weak_union", (6,), st(C1, {R1, R2}, {T, C2})),
-        DerivationStep("contraction", (7, 2), st(C1, {C2, R1, R2}, T)),
-        DerivationStep("partition", (6, 8), st(C2, {C1, R1, R2}, T)),
-    )
-    return Derivation(SYMBOLS, axioms, steps)
-
-
-def ordered_markov() -> Derivation:
+def ordered_markov() -> tuple[tuple[CIStatement, ...], tuple[CIStatement, ...]]:
     """The ordered Markov conditions of the expanded 2x2 grid model.
 
     The axioms are the conclusions of the three independence scripts:
-    tail singletons against the rest given T (which already are the
-    conditions for the tail boxes), entries against the other entries
-    given every tail, and entries against their unrelated tails and
-    entry.  For each entry box, a symmetry/weak-union/symmetry detour
-    parks the diagonal entry in the conditioning set so that contraction
-    can graft the remaining entries onto the unrelated-tail statement.
+    the tail splits (which already are the conditions for the tail
+    boxes), each entry against the other entries given every tail, and
+    each entry against its unrelated tails and entry given its own.  The
+    goal for each entry box adds the other entries to the latter.
     """
-    l1 = {
-        (1, 1): st(S11, {S12, S21, S22}, TAILS),
-        (1, 2): st(S12, {S11, S21, S22}, TAILS),
-        (2, 1): st(S21, {S11, S12, S22}, TAILS),
-        (2, 2): st(S22, {S11, S12, S21}, TAILS),
+    entries = {(i, j): f"S[{i},{j}]" for i in (1, 2) for j in (1, 2)}
+    own = {(i, j): {f"R[{i}]", f"C[{j}]", T} for i, j in entries}
+    others = {k: set(entries.values()) - {e} for k, e in entries.items()}
+    unrelated = {
+        (i, j): {f"R[{3 - i}]", f"C[{3 - j}]", entries[3 - i, 3 - j]} for i, j in entries
     }
-    l2 = {
-        (1, 1): st(S11, {R2, C2, S22}, {R1, C1, T}),
-        (1, 2): st(S12, {R2, C1, S21}, {R1, C2, T}),
-        (2, 1): st(S21, {R1, C2, S12}, {R2, C1, T}),
-        (2, 2): st(S22, {R1, C1, S11}, {R2, C2, T}),
-    }
-    l3 = (
-        st(R1, {R2, C1, C2}, T),
-        st(R2, {R1, C1, C2}, T),
-        st(C1, {R1, R2, C2}, T),
-        st(C2, {R1, R2, C1}, T),
+    axioms = (
+        TAIL_SPLITS
+        + tuple(st(e, others[k], TAILS) for k, e in entries.items())
+        + tuple(st(e, unrelated[k], own[k]) for k, e in entries.items())
     )
-    axioms = l3 + tuple(l1[k] for k in sorted(l1)) + tuple(l2[k] for k in sorted(l2))
-    index = {stmt: i for i, stmt in enumerate(axioms)}
-    entries = {(1, 1): S11, (1, 2): S12, (2, 1): S21, (2, 2): S22}
-    steps: list[DerivationStep] = []
-    for i, j in sorted(entries):
-        own = entries[i, j]
-        diagonal = entries[3 - i, 3 - j]
-        others = frozenset(entries.values()) - {own}
-        near = others - {diagonal}
-        base = len(axioms) + len(steps)
-        steps += [
-            DerivationStep("symmetry", (index[l1[i, j]],), st(others, own, TAILS)),
-            DerivationStep("weak_union", (base,), st(near, own, TAILS | {diagonal})),
-            DerivationStep("symmetry", (base + 1,), st(own, near, TAILS | {diagonal})),
-            DerivationStep(
-                "contraction",
-                (base + 2, index[l2[i, j]]),
-                st(own, l2[i, j].right | near, l2[i, j].given),
-            ),
-        ]
-    return Derivation(SYMBOLS, axioms, tuple(steps))
+    return axioms, tuple(st(e, unrelated[k] | others[k], own[k]) for k, e in entries.items())
+
+
+# Each script is its axioms, then the goals the closure derives from them.
+SCRIPTS = {
+    # one entry is independent of the other entries given every tail, since
+    # each later entry is independent of all earlier but its own tails given those
+    "independence1": (
+        (
+            st(S12, {R2, C1, S11}, {R1, T, C2}),
+            st(S21, {R1, C2, S11, S12}, {R2, T, C1}),
+            st(S22, {R1, C1, S11, S12, S21}, {R2, T, C2}),
+        ),
+        (st(S11, {S12, S21, S22}, TAILS),),
+    ),
+    # one entry is independent of the unrelated row, column and entry given its
+    # own tails, from axioms that peel the unrelated tails off one at a time
+    "independence2": (
+        (
+            st({S11, R1, C1}, R2, T),
+            st({S11, R1, C1}, C2, {T, R2}),
+            st({S11, R1, C1}, S22, {T, R2, C2}),
+        ),
+        (st(S11, {R2, C2, S22}, {T, R1, C1}), st(S11, S22, {T, R1, C1})),
+    ),
+    # the tail splits, from the row/column split and the two within-kind ones
+    "independence3": (
+        (st({R1, R2}, {C1, C2}, T), st(R1, R2, T), st(C1, C2, T)),
+        TAIL_SPLITS,
+    ),
+    "ah_ordered_markov": ordered_markov(),
+}
 
 
 def random_grid_joint(rng: np.random.Generator) -> JointState:
     """A latent-exposed 2x2 grid joint with random carriers and kernels."""
 
     def rand_kernel(dom, cod):
-        shape = (
-            int(np.prod([c.size for c in dom])) if dom else 1,
-            int(np.prod([c.size for c in cod])),
-        )
+        shape = (math.prod(c.size for c in dom), math.prod(c.size for c in cod))
         mat = rng.uniform(0.05, 1.0, size=shape)
-        mat /= mat.sum(axis=1, keepdims=True)
-        return Kernel(tuple(dom), tuple(cod), mat)
+        return Kernel(dom, cod, mat / mat.sum(axis=1, keepdims=True))
 
     sizes = rng.integers(2, 4, size=4)
-    a = FinSet("A", tuple(f"a{k}" for k in range(sizes[0])))
-    b = FinSet("B", tuple(f"b{k}" for k in range(sizes[1])))
-    c = FinSet("C", tuple(f"c{k}" for k in range(sizes[2])))
-    x = FinSet("X", tuple(f"x{k}" for k in range(sizes[3])))
+    a, b, c, x = (
+        FinSet(label, tuple(f"{label.lower()}{k}" for k in range(n)))
+        for label, n in zip("ABCX", sizes)
+    )
     spec = AHSpec(
         q=rand_kernel((), (a,)),
         f=rand_kernel((a,), (b,)),
@@ -202,15 +134,10 @@ def random_grid_joint(rng: np.random.Generator) -> JointState:
 
 
 def main() -> None:
-    scripts = {
-        "independence1": entry_independence(),
-        "independence2": entry_separation(),
-        "independence3": tail_independence(),
-        "ah_ordered_markov": ordered_markov(),
-    }
     rng = np.random.default_rng(20250823)
     joints = [random_grid_joint(rng) for _ in range(5)]
-    for name, derivation in scripts.items():
+    for name, (axioms, goals) in SCRIPTS.items():
+        derivation = semigraphoid_closure(axioms, SYMBOLS).derivation(*goals)
         report = validate_derivation(derivation)
         if not report:
             raise SystemExit(f"{name}: {report.message}")
@@ -223,7 +150,7 @@ def main() -> None:
             json.dumps(derivation_to_json(derivation), indent=2) + "\n",
             encoding="utf-8",
         )
-        print(f"wrote {path.relative_to(pathlib.Path.cwd())} "
+        print(f"wrote {path.relative_to(ROOT)} "
               f"({len(derivation.axioms)} axioms, {len(derivation.steps)} steps)")
 
 
