@@ -254,8 +254,11 @@ class AHLemmaReport:
     residuals: tuple[float, float, float]
 
 
-def verify_ah_lemmas(spec: AHSpec, atol: float = DEFAULT_ATOL) -> AHLemmaReport:
-    """Check the three independence facts on the latent-exposed joint."""
+def verify_ah_lemmas(spec: AHSpec) -> AHLemmaReport:
+    """Check the three independence facts on the latent-exposed joint.
+
+    The report's booleans hold each residual to DEFAULT_ATOL.
+    """
     if spec.rows != spec.cols:
         raise ShapeMismatch("a square grid is required")
     n = spec.rows
@@ -277,8 +280,8 @@ def verify_ah_lemmas(spec: AHSpec, atol: float = DEFAULT_ATOL) -> AHLemmaReport:
             r2 = max(r2, ci_residual(p, [f"S[{i},{j}]"], unrelated, tails_ij))
     r3 = mutual_ci_residual(p, [[w] for w in rs + cs], ["T"])
     return AHLemmaReport(
-        entries_independent=r1 <= atol,
-        entry_separated=r2 <= atol,
-        tails_independent=r3 <= atol,
+        entries_independent=r1 <= DEFAULT_ATOL,
+        entry_separated=r2 <= DEFAULT_ATOL,
+        tails_independent=r3 <= DEFAULT_ATOL,
         residuals=(r1, r2, r3),
     )

@@ -417,32 +417,23 @@ ANTECEDENT_ATOL = 1e-12
 CONSEQUENT_ATOL = 1e-6
 
 
-def cs_check(
-    p: Kernel,
-    f: Kernel,
-    g: Kernel,
-    antecedent_atol: float = ANTECEDENT_ATOL,
-    consequent_atol: float = CONSEQUENT_ATOL,
-) -> CSReport:
+def cs_check(p: Kernel, f: Kernel, g: Kernel, consequent_atol: float = CONSEQUENT_ATOL) -> CSReport:
     """Check the implication: equal pairings against p force a.s. equality.
 
     The antecedent asks that the three two-output composites pairing
     (f,f), (f,g) and (g,g) over a copy of p's output agree pairwise; the
-    consequent is a.s. equality of f and g with respect to p.  The
-    antecedent is held to a stricter tolerance because deviations enter
-    the pairings quadratically.
+    consequent is a.s. equality of f and g with respect to p, on the
+    support that ``consequent_atol`` sets (see as_equal_residual).  The
+    report's booleans hold the residuals to ANTECEDENT_ATOL and
+    CONSEQUENT_ATOL; the antecedent's is stricter because deviations
+    enter the pairings quadratically.
     """
     cons = as_equal_residual(f, g, p, consequent_atol)  # first: it checks the interfaces
     ff = _pairing(f, f, p)
     fg = _pairing(f, g, p)
     gg = _pairing(g, g, p)
     ante = max(max_abs_diff(ff, fg), max_abs_diff(fg, gg), max_abs_diff(ff, gg))
-    return CSReport(
-        antecedent_holds=ante <= antecedent_atol,
-        consequent_holds=cons <= consequent_atol,
-        antecedent_residual=ante,
-        consequent_residual=cons,
-    )
+    return CSReport(ante <= ANTECEDENT_ATOL, cons <= CONSEQUENT_ATOL, ante, cons)
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,14 +467,6 @@ class ParamKernel:
         return [Kernel(self.dom, self.cod, t[:, w, :]) for w in range(nw)]
 
 
-def _shared_param(*ks: ParamKernel) -> FinSet:
-    """The parameter factor all of ks carry; ParamMismatch if they differ."""
-    if any(k.param != ks[0].param for k in ks):
-        labels = " vs ".join(repr(k.param.label) for k in ks)
-        raise ParamMismatch(f"parameter factors differ ({labels})")
-    return ks[0].param
-
-
 def parametric_cs_check(p: ParamKernel, f: ParamKernel, g: ParamKernel) -> CSReport:
     """The two-sided check of cs_check, run in the parametric category.
 
@@ -491,7 +474,9 @@ def parametric_cs_check(p: ParamKernel, f: ParamKernel, g: ParamKernel) -> CSRep
     check runs cs_check slice by slice and keeps the worst antecedent
     and consequent residuals.
     """
-    _shared_param(p, f, g)
+    if not p.param == f.param == g.param:
+        labels = " vs ".join(repr(k.param.label) for k in (p, f, g))
+        raise ParamMismatch(f"parameter factors differ ({labels})")
     reports = [cs_check(*s) for s in zip(p.slices(), f.slices(), g.slices())]
     ante = max(r.antecedent_residual for r in reports)
     cons = max(r.consequent_residual for r in reports)

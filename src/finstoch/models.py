@@ -45,12 +45,6 @@ class CausalModel:
                 return b
         raise UnknownNode(f"no box named {name!r}")
 
-    def producer(self, wire: str) -> Box:
-        for b in self.boxes:
-            if wire in b.out_wires:
-                return b
-        raise UnknownNode(f"no box produces wire {wire!r}")
-
 
 def make_model(boxes: Iterable[Box], outputs: Iterable[str] | None = None) -> CausalModel:
     """Assemble a model from boxes; wires and outputs default to sorted order."""

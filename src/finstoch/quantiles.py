@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,15 +29,17 @@ class Breakpoint:
 
 @dataclass(frozen=True, eq=False)
 class QuantileFunction:
-    """Per-input staircase from (0,1] onto an ordered value carrier."""
+    """Per-input staircase from (0,1] onto an ordered value carrier.
+
+    Each row's final breakpoint must lie within DEFAULT_ATOL of 1.
+    """
 
     dom: tuple[FinSet, ...]
     cod: FinSet
     order: tuple[str, ...]
     rows: tuple[tuple[Breakpoint, ...], ...]
-    atol: InitVar[float] = DEFAULT_ATOL
 
-    def __post_init__(self, atol: float):
+    def __post_init__(self):
         object.__setattr__(self, "dom", _factors(self.dom))
         object.__setattr__(self, "order", tuple(self.order))
         object.__setattr__(
@@ -54,12 +56,12 @@ class QuantileFunction:
             if not row:
                 raise ShapeMismatch("a row has no breakpoints")
             uppers = [bp.upper for bp in row]
-            # written so that a NaN breakpoint or tolerance fails each test
+            # written so that a NaN breakpoint fails each test
             if not uppers[0] > 0.0 or not all(
                 b > a for a, b in itertools.pairwise(uppers)
             ):
                 raise ShapeMismatch("breakpoints must increase from 0 to 1")
-            if not abs(uppers[-1] - 1.0) <= atol:
+            if not abs(uppers[-1] - 1.0) <= DEFAULT_ATOL:
                 raise ShapeMismatch(
                     f"final breakpoint {uppers[-1]!r} is not 1"
                 )
@@ -78,9 +80,7 @@ class QuantileFunction:
         return self.rows[row][k].value
 
 
-def quantile_pushback(
-    f: Kernel, order: Sequence[str], atol: float = DEFAULT_ATOL
-) -> QuantileFunction:
+def quantile_pushback(f: Kernel, order: Sequence[str]) -> QuantileFunction:
     """Represent each row of f as cells of [0,1] in the given value order."""
     if len(f.cod) != 1:
         raise ShapeMismatch("a single codomain factor is required")
@@ -100,7 +100,7 @@ def quantile_pushback(
                 if probs[k] > 0.0
             )
         )
-    return QuantileFunction(f.dom, cod, order, tuple(rows), atol)
+    return QuantileFunction(f.dom, cod, order, tuple(rows))
 
 
 def pushforward_residual(qf: QuantileFunction, f: Kernel) -> float:

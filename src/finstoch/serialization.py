@@ -284,9 +284,7 @@ def quantile_to_json(qf: QuantileFunction) -> dict:
     }
 
 
-def quantile_from_json(
-    obj: Any, atol: float = DEFAULT_ATOL, where: str = "quantile"
-) -> QuantileFunction:
+def quantile_from_json(obj: Any, where: str = "quantile") -> QuantileFunction:
     from .quantiles import Breakpoint, QuantileFunction
 
     dom = tuple(
@@ -306,6 +304,6 @@ def quantile_from_json(
             parsed.append(Breakpoint(float(upper), _get(bp, "value", bw, str)))
         rows.append(tuple(parsed))
     try:
-        return QuantileFunction(dom, cod, order, tuple(rows), atol)
+        return QuantileFunction(dom, cod, order, tuple(rows))
     except FinstochError as e:
         raise ShapeMismatch(f"{where}: {e}") from e

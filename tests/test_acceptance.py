@@ -324,7 +324,7 @@ def test_latent_grid_suite():
         worst_inv = max(worst_inv, invariance_residual(j, grid_transpositions(n, n)))
         jl = build_ah_joint(spec, expose_latents=True)
         all_ok = all_ok and ordered_markov_residual(jl, expand_ah_model(n)) <= 1e-9
-        rep = verify_ah_lemmas(spec, atol=1e-9)
+        rep = verify_ah_lemmas(spec)
         all_ok = (
             all_ok
             and rep.entries_independent

@@ -245,6 +245,20 @@ def test_raised_entry_under_a_loose_atol_is_rejected_at_load(
         assert err.count("raised.json") == 1 and "row sums deviate" in err
 
 
+def test_a_strict_atol_tightens_load_validation(tmp_path, capsys, monkeypatch):
+    doc = _uniform_doc(["x", "y"], ["bit", "bit"])
+    doc["rows"][0][-1] += 1e-12
+    state = write(tmp_path, "off.json", doc)
+    argv = ["check-ci", state, "--x", "x", "--y", "y"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out[0].startswith("PASS ci")
+    monkeypatch.setenv("FINSTOCH_ATOL", "1e-13")
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == []
+    assert "off.json: state.rows: row sums deviate" in err and "(atol=1e-13)" in err
+
+
 def test_check_exchangeable_rejects_unequal_carriers(tmp_path, capsys):
     state = write(tmp_path, "mixed.json", _uniform_doc(["X[1]", "X[2]"], ["bit", "trit"]))
     code, out, err = run(capsys, ["check-exchangeable", state])
@@ -479,6 +493,24 @@ def test_noise_outsource_reports_and_writes(tmp_path, capsys):
     assert code == 0
     code, _, err = run(capsys, ["noise-outsource", kf, "--order", "3,1"])
     assert code == 2
+
+
+def test_noise_outsource_under_a_zero_atol_reports_the_kernel_it_loaded(
+    tmp_path, capsys, monkeypatch
+):
+    # the row sums to 1 exactly, but its cumulative sum in this order ends
+    # at 1.0000000000000002, so the staircase is not held to FINSTOCH_ATOL
+    row = [0.23160063354908356, 0.49807811517677786, 0.27021537038875604, 0.00010588088538266464]
+    k = {"dom": [], "cod": [{"label": "v", "elements": list("abcd")}], "rows": [row]}
+    kf = write(tmp_path, "k.json", k)
+    monkeypatch.setenv("FINSTOCH_ATOL", "0")
+    code, out, err = run(capsys, ["noise-outsource", kf, "--order", "a,c,b,d"])
+    assert code == 1
+    assert out == [
+        "FAIL quantile-pushforward residual=5.55e-17",
+        "FAIL seed-mechanism-composite residual=5.55e-17",
+    ]
+    assert err == ""
 
 
 def test_noise_outsource_builds_the_staircase_once(tmp_path, capsys, monkeypatch):

@@ -338,7 +338,7 @@ def test_wire_cap_fires_before_the_operands_exist(build):
 
 def test_lemma_report_on_a_random_square_grid():
     rng = np.random.default_rng(96)
-    rep = verify_ah_lemmas(random_ahspec(rng, 2, hi=2), atol=1e-9)
+    rep = verify_ah_lemmas(random_ahspec(rng, 2, hi=2))
     assert rep.entries_independent and rep.entry_separated and rep.tails_independent
     assert max(rep.residuals) <= 1e-9
 

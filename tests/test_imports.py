@@ -5,6 +5,7 @@ long since loaded every module.
 """
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -186,3 +187,40 @@ def referenced_names() -> set[str]:
 
 def test_every_public_name_has_a_caller_outside_the_unit_tests():
     assert set(finstoch.__all__) - referenced_names() == set(UNREFERENCED)
+
+
+# Tolerances that change what is computed: input validation (Kernel and the
+# JSON loaders) and the support threshold of almost-sure equality.  Verdicts
+# are the caller's; no public callable takes a tolerance only to decide one.
+TOLERANCE_PARAMETERS = {
+    "Kernel.atol",
+    "kernel_from_json.atol",
+    "state_from_json.atol",
+    "assignment_from_json.atol",
+    "ahspec_from_json.atol",
+    "as_equal_residual.atol",
+    "cs_check.consequent_atol",
+}
+
+
+def public_signatures():
+    """(qualified name, signature) of every public callable and public method; errors aside."""
+    for name in finstoch.__all__:
+        obj = getattr(finstoch, name)
+        if not callable(obj) or inspect.isclass(obj) and issubclass(obj, Exception):
+            continue
+        yield name, inspect.signature(obj)
+        for attr in vars(obj) if inspect.isclass(obj) else ():
+            member = getattr(obj, attr)
+            if not attr.startswith("_") and callable(member):
+                yield f"{name}.{attr}", inspect.signature(member)
+
+
+def test_only_validation_and_support_take_a_tolerance():
+    found = {
+        f"{qualname}.{param}"
+        for qualname, sig in public_signatures()
+        for param in sig.parameters
+        if param.endswith("atol")
+    }
+    assert found == TOLERANCE_PARAMETERS

@@ -241,8 +241,5 @@ def test_expand_wire_cap_on_a_rectangular_grid():
 
 def test_model_lookup_helpers():
     assert CHAIN.box("f2").in_wires == ("X",)
-    assert CHAIN.producer("Z").name == "f3"
     with pytest.raises(UnknownNode):
         CHAIN.box("missing")
-    with pytest.raises(UnknownNode):
-        CHAIN.producer("missing")
