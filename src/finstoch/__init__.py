@@ -99,7 +99,6 @@ _EXPORTS = {
         "make_model",
         "non_descendants",
         "past",
-        "reaches",
         "topo_order",
         "validate_model",
         "validate_timing",

@@ -1,20 +1,19 @@
 """Markov properties of joint states with respect to a causal model.
 
 A box assignment attaches a carrier to every wire and a kernel to every
-box.  Recomposition evaluates the model exactly; the local and ordered
-screening-off conditions are per-box conditional independences; and
-factorization peels boxes from the latest stage backwards, reading each
-kernel off as a conditional of the current marginal.  For valid models
-the three notions (compatibility with some assignment, local, ordered)
-agree.
+box.  Recomposition evaluates the model exactly, as one contraction of
+every box's kernel; the local and ordered screening-off conditions are
+per-box conditional independences, screening off the wires that
+``non_descendants`` or ``past`` maps each box to; and factorization
+peels boxes from the latest stage backwards, reading each kernel off as
+a conditional of the current marginal.  For valid models the three
+notions (compatibility with some assignment, local, ordered) agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
-
-import numpy as np
+from typing import Mapping
 
 from .ci import ci_residual
 from .errors import ShapeMismatch, UnknownNode, UnknownWire, WireMismatch
@@ -30,7 +29,6 @@ from .kernels import (
     reindex,
 )
 from .models import (
-    Box,
     CausalModel,
     TimingFunction,
     default_timing,
@@ -74,19 +72,18 @@ def recompose(m: CausalModel, asg: BoxAssignment) -> JointState:
     """Exact joint over all wires obtained by running the model.
 
     Each wire's value is shared by every consumer and by the overall
-    output, so the joint multiplies one kernel factor per box.
+    output, so the joint multiplies one kernel factor per box.  Every
+    wire is an output, so the contraction sums nothing and multiplies
+    its operands last first; listed in reverse topological order, the
+    kernels multiply in topological order.
     """
     ensure_valid(m)
     _check_assignment(m, asg)
-    current, have = np.ones(()), ()
-    for b in topo_order(m):
-        operands = [(current, have), (asg.kernels[b.name].array, b.in_wires + b.out_wires)]
-        have += b.out_wires
-        current = contract(operands, have)
-    current = contract([(current, have)], m.outputs)
-    return JointState.from_array(
-        current, [(w, asg.carriers[w]) for w in m.outputs]
+    joint = contract(
+        ((asg.kernels[b.name].array, b.in_wires + b.out_wires) for b in reversed(topo_order(m))),
+        m.outputs,
     )
+    return JointState.from_array(joint, [(w, asg.carriers[w]) for w in m.outputs])
 
 
 def _require_same_wires(p: JointState, m: CausalModel) -> None:
@@ -98,12 +95,12 @@ def _require_same_wires(p: JointState, m: CausalModel) -> None:
 
 
 def _screening_off_residual(
-    p: JointState, m: CausalModel, screened: Callable[[Box], frozenset[str]]
+    p: JointState, m: CausalModel, screened: Mapping[str, frozenset[str]]
 ) -> float:
-    """Largest residual over boxes of: outputs _||_ screened(box) | inputs."""
+    """Largest residual over boxes of: outputs _||_ screened[box] | inputs."""
     worst = 0.0
     for b in m.boxes:
-        rest = screened(b) - set(b.in_wires) - set(b.out_wires)
+        rest = screened[b.name] - set(b.in_wires) - set(b.out_wires)
         if rest:
             worst = max(worst, ci_residual(p, b.out_wires, rest, b.in_wires))
     return worst
@@ -113,7 +110,7 @@ def local_markov_residual(p: JointState, m: CausalModel) -> float:
     """Largest residual over boxes of: outputs _||_ non-descendants | inputs."""
     ensure_valid(m)
     _require_same_wires(p, m)
-    return _screening_off_residual(p, m, lambda b: non_descendants(m, b.name))
+    return _screening_off_residual(p, m, non_descendants(m))
 
 
 def ordered_markov_residual(
@@ -123,8 +120,7 @@ def ordered_markov_residual(
     ensure_valid(m)
     _require_same_wires(p, m)
     t = default_timing(m) if timing is None else timing
-    validate_timing(m, t)
-    return _screening_off_residual(p, m, lambda b: past(m, t, b.name))
+    return _screening_off_residual(p, m, past(m, t))
 
 
 def factorize(

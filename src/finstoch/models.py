@@ -1,11 +1,13 @@
 """Wiring diagrams of named boxes whose every wire is an overall output.
 
 A model lists boxes with input and output wires.  Validity asks that
-each wire is produced by exactly one box, that nothing is consumed from
-outside, that every wire appears exactly once among the declared
+every box and wire has a non-empty name of its own, that each wire is
+produced by exactly one box, that nothing is consumed from outside,
+that no box reads one wire twice (a wire may feed any number of
+boxes), that every wire appears exactly once among the declared
 overall outputs, and that the box-level precedence relation is acyclic.
-Reachability, descendant sets, timing functions and the row/column
-latent expansion all live here.
+The topological order, every box's non-descendant and past wires,
+timing functions and the row/column latent expansion all live here.
 """
 
 from __future__ import annotations
@@ -79,9 +81,13 @@ def validate_model(m: CausalModel) -> list[Violation]:
     """All rule violations, each naming the offending wire or box."""
     out: list[Violation] = []
     names = [b.name for b in m.boxes]
+    if "" in names:
+        out.append(Violation("box-names", "''", "box name is empty"))
     for n in sorted({n for n in names if names.count(n) > 1}):
         out.append(Violation("box-names", n, "box name declared more than once"))
     wire_set = set(m.wires)
+    if "" in wire_set:
+        out.append(Violation("wire-names", "''", "wire name is empty"))
     for w in sorted({w for w in m.wires if m.wires.count(w) > 1}):
         out.append(Violation("wire-names", w, "wire declared more than once"))
     for n in sorted(set(names) & wire_set):
@@ -173,40 +179,28 @@ def topo_order(m: CausalModel) -> list[Box]:
     order, cyclic = _kahn(m)
     if cyclic:
         raise FinstochError("model has a cycle")
-    return [m.box(n) for n in order]
+    by_name = {b.name: b for b in m.boxes}
+    return [by_name[n] for n in order]
 
 
-def _reachable(m: CausalModel, start: str) -> set[str]:
-    """Boxes and wires reachable from start, start included."""
-    succ: dict[str, list[str]] = {w: [] for w in m.wires}
-    for b in m.boxes:
-        succ.setdefault(b.name, []).extend(b.out_wires)
-        for w in b.in_wires:
-            succ.setdefault(w, []).append(b.name)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for t in succ[stack.pop()]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
+def non_descendants(m: CausalModel) -> dict[str, frozenset[str]]:
+    """For each box, the wires it cannot reach, not even through other boxes.
 
-
-def reaches(m: CausalModel, a: str, b: str) -> bool:
-    """Reflexive transitive reachability over boxes and wires."""
-    nodes = {x.name for x in m.boxes}.union(m.wires)
-    for n in (a, b):
-        if n not in nodes:
-            raise UnknownNode(f"no box or wire named {n!r}")
-    return b in _reachable(m, a)
-
-
-def non_descendants(m: CausalModel, box: str) -> frozenset[str]:
-    """Wires the box cannot reach, not even through other boxes."""
-    m.box(box)
-    seen = _reachable(m, box)
-    return frozenset(w for w in m.wires if w not in seen)
+    A box reaches its outputs and whatever the boxes consuming them
+    reach, so one pass in reverse topological order builds every box's
+    reachable wires from those of its successors.  Raises on a cyclic
+    model.
+    """
+    succ = _successors(m)
+    reach: dict[str, set[str]] = {}
+    for b in reversed(topo_order(m)):
+        seen = reach[b.name] = set(b.out_wires)
+        for c in succ[b.name]:
+            seen |= reach[c]
+    return {
+        b.name: frozenset(w for w in m.wires if w not in reach[b.name])
+        for b in m.boxes
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,27 +233,26 @@ def validate_timing(m: CausalModel, t: TimingFunction) -> None:
                 )
 
 
-def past(m: CausalModel, t: TimingFunction, box: str) -> frozenset[str]:
-    """Wires emitted up to and including the box's stage."""
-    m.box(box)
+def past(m: CausalModel, t: TimingFunction) -> dict[str, frozenset[str]]:
+    """For each box, the wires emitted up to and including its stage."""
     validate_timing(m, t)
-    cutoff = t[box]
-    return frozenset(
-        w for b in m.boxes if t[b.name] <= cutoff for w in b.out_wires
-    )
+    emitted: dict[int, list[str]] = {}
+    for b in m.boxes:
+        emitted.setdefault(t[b.name], []).extend(b.out_wires)
+    upto: dict[int, frozenset[str]] = {}
+    wires: frozenset[str] = frozenset()
+    for stage in sorted(emitted):
+        wires = upto[stage] = wires.union(emitted[stage])
+    return {b.name: upto[t[b.name]] for b in m.boxes}
 
 
 def default_timing(m: CausalModel) -> TimingFunction:
     """Longest-path stages: each box one step after its latest producer."""
     ensure_valid(m)
+    produced = {w: b.name for b in m.boxes for w in b.out_wires}
     times: dict[str, int] = {}
-    succ = _successors(m)
-    preds: dict[str, list[str]] = {b.name: [] for b in m.boxes}
-    for b, tails in succ.items():
-        for t in tails:
-            preds[t].append(b)
     for b in topo_order(m):
-        times[b.name] = 1 + max((times[p] for p in preds[b.name]), default=0)
+        times[b.name] = 1 + max((times[produced[w]] for w in b.in_wires), default=0)
     return TimingFunction(times)
 
 

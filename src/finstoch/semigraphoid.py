@@ -53,9 +53,6 @@ class CIStatement:
     def symbols(self) -> frozenset[str]:
         return self.left | self.right | self.given
 
-    def swapped(self) -> "CIStatement":
-        return CIStatement(self.right, self.left, self.given)
-
     def __str__(self) -> str:
         def fmt(s: frozenset[str]) -> str:
             return ",".join(sorted(s))

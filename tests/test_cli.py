@@ -12,6 +12,7 @@ from finstoch import (
     ahspec_to_json,
     assignment_from_json,
     build_ah_joint,
+    default_timing,
     expand_ah_model,
     kernel_to_json,
     make_model,
@@ -21,6 +22,7 @@ from finstoch import (
     recompose,
     state_from_json,
     state_to_json,
+    timing_to_json,
 )
 from finstoch.cli import main
 from support import (
@@ -82,6 +84,43 @@ def test_validate_model_reports_violations(tmp_path, capsys):
     assert code == 1
     assert all(line.startswith("FAIL model-valid") for line in out)
     assert any("produced-once" in line for line in out)
+
+
+EMPTY_NAMES = {
+    "box-names": "box-names: '': box name is empty",
+    "wire-names": "wire-names: '': wire name is empty",
+}
+
+
+def _grid_with_an_empty_name(tmp_path, rule):
+    """The 2x2 grid model with box alpha or wire T renamed to the empty string."""
+    doc = model_to_json(expand_ah_model(2))
+    if rule == "box-names":
+        doc["boxes"][0]["name"] = ""
+    else:
+        doc = json.loads(json.dumps(doc).replace('"T"', '""'))
+    return write(tmp_path, "model.json", doc)
+
+
+@pytest.mark.parametrize("rule", EMPTY_NAMES)
+def test_validate_model_rejects_an_empty_name(tmp_path, capsys, rule):
+    model = _grid_with_an_empty_name(tmp_path, rule)
+    code, out, _ = run(capsys, ["validate-model", model])
+    assert code == 1
+    assert f"FAIL model-valid {EMPTY_NAMES[rule]}" in out
+
+
+@pytest.mark.parametrize("rule", EMPTY_NAMES)
+def test_check_markov_blames_an_empty_name_on_the_model(tmp_path, capsys, rule):
+    m = expand_ah_model(2)
+    p = recompose(m, random_assignment(np.random.default_rng(24), m, 2, 2))
+    state = write(tmp_path, "state.json", state_to_json(p))
+    timing = write(tmp_path, "timing.json", timing_to_json(default_timing(m)))
+    model = _grid_with_an_empty_name(tmp_path, rule)
+    code, out, err = run(capsys, ["check-markov", state, model, "--timing", timing])
+    assert code == 2
+    assert out == []
+    assert err == f"error: {model}: {EMPTY_NAMES[rule]}\n"
 
 
 def _triple_state(tmp_path):
@@ -511,6 +550,18 @@ def test_noise_outsource_under_a_zero_atol_reports_the_kernel_it_loaded(
         "FAIL seed-mechanism-composite residual=5.55e-17",
     ]
     assert err == ""
+
+
+def test_noise_outsource_accepts_the_order_of_a_kernel_it_loaded(tmp_path, capsys):
+    # the row sums to 1.0000000009999999, so it loads; its cumulative sum
+    # in this order ends at 1.000000001, an ulp past DEFAULT_ATOL
+    row = [0.06537467485105562, 0.07330586453661281, 0.2733835035134288, 0.5879359580989026]
+    k = {"dom": [], "cod": [{"label": "v", "elements": list("abcd")}], "rows": [row]}
+    kf = write(tmp_path, "k.json", k)
+    code, out, err = run(capsys, ["noise-outsource", kf, "--order", "a,c,d,b"])
+    assert err == ""
+    assert out[0] == "PASS quantile-pushforward residual=1.11e-16"
+    assert out[1].split()[1] == "seed-mechanism-composite"
 
 
 def test_noise_outsource_builds_the_staircase_once(tmp_path, capsys, monkeypatch):

@@ -143,6 +143,7 @@ REMOVED = (
     "is_deterministic",
     "uniform_state",
     "PartitionReport",
+    "reaches",
 )
 
 
@@ -164,7 +165,6 @@ UNREFERENCED = {
     "timing_to_json": "writes the timing file that check-markov --timing reads",
     "deterministic_kernel": "the general point-mass kernel; perfbench times it by name",
     "marginalize": "the JointState marginal; perfbench times it by name",
-    "reaches": "the path query beside non_descendants and past",
 }
 
 

@@ -4,11 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from finstoch import (
     DEFAULT_ATOL,
     Box,
     BoxAssignment,
+    InvalidTiming,
     JointState,
     Kernel,
     ShapeMismatch,
@@ -27,7 +30,9 @@ from finstoch import (
     ordered_markov_residual,
     recompose,
     reindex,
+    topo_order,
 )
+from finstoch.kernels import contract
 from support import (
     carrier,
     perturbed,
@@ -104,6 +109,27 @@ def test_recompose_matches_the_chain_rule_loop():
                 for z in range(2):
                     out[x, y, z] = q[x] * k2[x, y] * k3[y, z]
         assert np.abs(p.array - out).max() <= 1e-15
+
+
+def _stepwise_recompose(m, asg):
+    """Joint array built one box at a time in topological order, then reordered."""
+    current, have = np.ones(()), ()
+    for b in topo_order(m):
+        operands = [(current, have), (asg.kernels[b.name].array, b.in_wires + b.out_wires)]
+        have += b.out_wires
+        current = contract(operands, have)
+    return contract([(current, have)], m.outputs)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(hs.integers(0, 2**32 - 1))
+def test_recompose_is_bitwise_the_stepwise_product(seed):
+    rng = np.random.default_rng(seed)
+    m = random_dag_model(rng, max_boxes=5, max_wires=6)
+    asg = random_assignment(rng, m)
+    p = recompose(m, asg)
+    assert p.wire_names == m.outputs
+    assert p.array.tobytes() == _stepwise_recompose(m, asg).tobytes()
 
 
 def test_recompose_output_order_follows_the_model():
@@ -247,6 +273,14 @@ def test_timing_choice_does_not_change_the_verdict():
     assert max_abs_diff(
         recompose(CHAIN, factorize(p, CHAIN, stretched)).kernel, p.kernel
     ) <= 1e-12
+
+
+def test_an_invalid_timing_is_rejected():
+    p = recompose(CHAIN, _chain_assignment(np.random.default_rng(73)))
+    flat = TimingFunction({"f1": 1, "f2": 1, "f3": 2})
+    for check in (ordered_markov_residual, compatibility_residual):
+        with pytest.raises(InvalidTiming):
+            check(p, CHAIN, flat)
 
 
 def test_alternative_timings_on_a_merge_model():

@@ -1,6 +1,11 @@
-"""Wiring-diagram models: validation, reachability, timings, grids."""
+"""Wiring-diagram models: validation, descendants, timings, grids."""
 
+from collections import deque
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from finstoch import (
     Box,
@@ -16,11 +21,11 @@ from finstoch import (
     make_model,
     non_descendants,
     past,
-    reaches,
     topo_order,
     validate_model,
     validate_timing,
 )
+from support import random_dag_model
 
 CHAIN = make_model(
     [
@@ -139,23 +144,56 @@ def test_topo_order_respects_precedence():
     assert names[0] == "alpha"
 
 
-def test_reaches_is_reflexive_and_directional():
-    assert reaches(CHAIN, "X", "X")
-    assert reaches(CHAIN, "f1", "Z")
-    assert not reaches(CHAIN, "Z", "X")
-    with pytest.raises(UnknownNode):
-        reaches(CHAIN, "f1", "nope")
-
-
 def test_non_descendants_on_the_chain():
-    assert non_descendants(CHAIN, "f3") == frozenset({"X", "Y"})
-    assert non_descendants(CHAIN, "f1") == frozenset()
+    assert non_descendants(CHAIN) == {
+        "f1": frozenset(),
+        "f2": frozenset({"X"}),
+        "f3": frozenset({"X", "Y"}),
+    }
 
 
 def test_non_descendants_on_the_merge():
-    assert non_descendants(TRIANGLE, "beta") == frozenset({"A", "B", "W", "Z"})
-    with pytest.raises(UnknownNode):
-        non_descendants(TRIANGLE, "nope")
+    nd = non_descendants(TRIANGLE)
+    assert list(nd) == [b.name for b in TRIANGLE.boxes]
+    assert nd["beta"] == frozenset({"A", "B", "W", "Z"})
+    assert nd["gamma"] == frozenset({"A", "B", "X"})
+    assert nd["alpha"] == frozenset()
+
+
+def test_non_descendants_raises_on_a_cycle():
+    m = make_model([Box("f", ("B",), ("A",)), Box("g", ("A",), ("B",))])
+    with pytest.raises(FinstochError, match="cycle"):
+        non_descendants(m)
+
+
+def _bfs_non_descendants(m, box):
+    """Wires not reachable from box by a breadth-first walk of boxes and wires."""
+    succ = {}
+    for b in m.boxes:
+        succ.setdefault(b.name, []).extend(b.out_wires)
+        for w in b.in_wires:
+            succ.setdefault(w, []).append(b.name)
+    seen, queue = {box}, deque([box])
+    while queue:
+        for t in succ.get(queue.popleft(), ()):
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return frozenset(w for w in m.wires if w not in seen)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(hs.integers(0, 2**32 - 1))
+def test_per_box_maps_match_the_one_box_references(seed):
+    m = random_dag_model(np.random.default_rng(seed), max_boxes=5, max_wires=6)
+    t = default_timing(m)
+    nd, p = non_descendants(m), past(m, t)
+    assert list(nd) == list(p) == [b.name for b in m.boxes]
+    for b in m.boxes:
+        assert nd[b.name] == _bfs_non_descendants(m, b.name)
+        assert p[b.name] == frozenset(
+            w for c in m.boxes if t[c.name] <= t[b.name] for w in c.out_wires
+        )
 
 
 def test_default_timing_is_longest_path():
@@ -181,20 +219,20 @@ def test_timing_validation_rejects_non_strict_orderings():
 
 def test_past_collects_wires_up_to_the_stage():
     t = default_timing(TRIANGLE)
-    p = past(TRIANGLE, t, "beta")
-    assert p == frozenset({"A", "B", "X", "W"})
-    assert p - set(TRIANGLE.box("beta").out_wires) == frozenset({"A", "B", "W"})
+    p = past(TRIANGLE, t)
+    assert list(p) == [b.name for b in TRIANGLE.boxes]
+    assert p["alpha"] == frozenset({"A", "B"})
+    assert p["beta"] == p["gamma"] == frozenset({"A", "B", "X", "W"})
+    assert p["beta"] - set(TRIANGLE.box("beta").out_wires) == frozenset({"A", "B", "W"})
+    assert p["eta"] == p["mu"] == frozenset(TRIANGLE.wires)
 
 
 def test_past_is_contained_in_non_descendants_and_can_be_strict():
-    t = default_timing(TRIANGLE)
+    p, nd = past(TRIANGLE, default_timing(TRIANGLE)), non_descendants(TRIANGLE)
     for b in TRIANGLE.boxes:
-        outside = past(TRIANGLE, t, b.name) - set(b.out_wires)
-        assert outside <= non_descendants(TRIANGLE, b.name)
-    strict = past(TRIANGLE, t, "beta") - set(
-        TRIANGLE.box("beta").out_wires
-    )
-    assert strict < non_descendants(TRIANGLE, "beta")
+        assert p[b.name] - set(b.out_wires) <= nd[b.name]
+    strict = p["beta"] - set(TRIANGLE.box("beta").out_wires)
+    assert strict < nd["beta"]
 
 
 def test_stretched_timings_still_validate():

@@ -2,18 +2,23 @@
 
     python3 tools/bench_snapshot.py 7
 
-Runs ``perfbench/run.py`` over every workload twice, with ``--trace 0``
-(end-to-end metrics) and with ``--trace 1`` (per-layer metrics), at the
-harness's default seed and run length.  The file keeps each workload's
-JSON line from both runs, plus the commit (``git describe --dirty``),
-the Python version and the numpy version.  Nothing is written when a
-run fails or a workload's output fails its oracle check.
+Runs ``perfbench/run.py`` over every workload three times with
+``--trace 0`` (end-to-end metrics) and three times with ``--trace 1``
+(per-layer metrics), alternating the two, at the harness's default seed
+and run length.  For each workload and trace setting the file gives the
+median of each metric over the three runs, ``correct`` when every run
+was correct, ``attempted`` and ``failed`` summed over the runs, and
+under ``runs`` the three JSON lines themselves.  It also records the
+commit (``git describe --dirty``), the Python version and the numpy
+version.  Nothing is written when a run fails or a workload's output
+fails its oracle check.
 """
 
 from __future__ import annotations
 
 import json
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+RUNS = 3
 
 
 def run(trace: int) -> dict[str, dict]:
@@ -36,6 +42,23 @@ def run(trace: int) -> dict[str, dict]:
     return {line.pop("workload"): line for line in lines}
 
 
+def summarize(runs: list[dict]) -> dict:
+    """Median of each metric over the runs of one workload, with the runs kept."""
+    return {
+        "correct": all(r["correct"] for r in runs),
+        "attempted": sum(r["attempted"] for r in runs),
+        "failed": sum(r["failed"] for r in runs),
+        "metrics": {
+            name: {
+                "value": statistics.median(r["metrics"][name]["value"] for r in runs),
+                "unit": metric["unit"],
+            }
+            for name, metric in runs[0]["metrics"].items()
+        },
+        "runs": runs,
+    }
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not argv[0].isdigit():
         print("usage: python3 tools/bench_snapshot.py N", file=sys.stderr)
@@ -43,13 +66,20 @@ def main(argv: list[str]) -> int:
     commit = subprocess.run(
         ["git", "describe", "--always", "--dirty"], cwd=ROOT, stdout=subprocess.PIPE, text=True
     ).stdout.strip()
-    end_to_end, per_layer = run(0), run(1)
+    runs: dict[int, list[dict]] = {0: [], 1: []}
+    for _ in range(RUNS):
+        for trace in runs:
+            runs[trace].append(run(trace))
     doc = {
         "commit": commit,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "workloads": {
-            name: {"trace0": end_to_end[name], "trace1": per_layer[name]} for name in end_to_end
+            name: {
+                f"trace{trace}": summarize([lines[name] for lines in runs[trace]])
+                for trace in runs
+            }
+            for name in runs[0][0]
         },
     }
     out = ROOT / "bench" / f"BENCH_{argv[0]}.json"
