@@ -35,6 +35,7 @@ _EXPORTS = {
         "BudgetExceeded",
         "DomainMismatch",
         "FinstochError",
+        "InvalidModel",
         "InvalidTiming",
         "NotAPartition",
         "ParamMismatch",
@@ -94,7 +95,6 @@ _EXPORTS = {
         "TimingFunction",
         "Violation",
         "default_timing",
-        "ensure_valid",
         "expand_ah_model",
         "make_model",
         "non_descendants",

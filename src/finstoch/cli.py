@@ -33,7 +33,7 @@ import sys
 from contextlib import contextmanager
 from typing import Any, Callable, Sequence
 
-from .errors import DEFAULT_ATOL, FinstochError, ShapeMismatch
+from .errors import DEFAULT_ATOL, FinstochError, InvalidModel, ShapeMismatch
 
 # One reported check: pass/fail, display name, optional residual.
 CheckLine = tuple[bool, str, "float | None"]
@@ -62,11 +62,12 @@ def _load_atol() -> float:
 
 @contextmanager
 def _blame(path: str):
-    """Prefix the message of a FinstochError raised in the block with path."""
+    """Prefix path to the message of a FinstochError raised in the block; its type stays."""
     try:
         yield
     except FinstochError as e:
-        raise FinstochError(f"{path}: {e}") from e
+        e.args = (f"{path}: {e}",)
+        raise
 
 
 def _read(path: str, loader: Callable, *args) -> Any:
@@ -142,14 +143,13 @@ def _emit(lines: Sequence[CheckLine]) -> int:
 
 
 def _cmd_validate_model(args) -> list[CheckLine]:
-    from .models import validate_model
     from .serialization import model_from_json
 
-    m = _read(args.model, model_from_json)
-    violations = validate_model(m)
-    if not violations:
-        return [(True, "model-valid", None)]
-    return [(False, f"model-valid {v}", None) for v in violations]
+    try:
+        _read(args.model, model_from_json)
+    except InvalidModel as e:
+        return [(False, f"model-valid {v}", None) for v in e.violations]
+    return [(True, "model-valid", None)]
 
 
 def _cmd_check_ci(args) -> list[CheckLine]:
@@ -167,14 +167,11 @@ def _cmd_check_ci(args) -> list[CheckLine]:
 
 
 def _load_state_and_model(args):
-    from .models import validate_model, validate_timing
+    from .models import validate_timing
     from .serialization import model_from_json, state_from_json, timing_from_json
 
     p = _read(args.state, state_from_json, _load_atol())
     m = _read(args.model, model_from_json)
-    violations = validate_model(m)
-    if violations:
-        raise FinstochError(f"{args.model}: {violations[0]}")
     if set(p.wire_names) != set(m.wires):
         raise FinstochError(
             f"{args.state}: state wires do not match the wires of {args.model}: "

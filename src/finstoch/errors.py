@@ -47,6 +47,14 @@ class UnknownNode(FinstochError):
     """A box or wire name does not occur in the model."""
 
 
+class InvalidModel(FinstochError):
+    """A model breaks its rules: ``violations`` lists them all, the message is the first."""
+
+    def __init__(self, violations):
+        super().__init__(str(violations[0]))
+        self.violations = tuple(violations)
+
+
 class InvalidTiming(FinstochError):
     """A timing function violates the model's precedence constraints."""
 

@@ -129,16 +129,15 @@ class Kernel:
         return self.matrix.reshape(self.dom_shape + self.cod_shape)
 
 
-def _check_entries(n: int, max_entries: float = MAX_ENTRIES) -> None:
+def _check_entries(n: int) -> None:
     """The one entry cap: SizeLimit when an array of n entries is too large."""
-    if n > max_entries:
-        raise SizeLimit(f"{n} entries exceed the cap of {max_entries}")
+    if n > MAX_ENTRIES:
+        raise SizeLimit(f"{n} entries exceed the cap of {MAX_ENTRIES}")
 
 
 def contract(
     operands: Iterable[tuple[np.ndarray, Sequence[Hashable]]],
     out: Iterable[Hashable],
-    max_entries: float = MAX_ENTRIES,
 ) -> np.ndarray:
     """Sum of products of labelled arrays, keeping the ``out`` labels in order.
 
@@ -152,7 +151,7 @@ def contract(
     larger than the result.  Raises SizeLimit before any allocation: as
     soon as the 53rd distinct label arrives (numpy addresses 52), so
     operands may be a lazy iterable of any length, or when the result
-    would exceed ``max_entries`` entries.
+    would exceed the entry cap.
     """
     index: dict[Hashable, int] = {}
     size: dict[int, int] = {}
@@ -164,7 +163,7 @@ def contract(
             size[index[label]] = n
         args.append((arr, [index[label] for label in labels]))
     out = [index[label] for label in out]
-    _check_entries(math.prod(size[i] for i in out), max_entries)
+    _check_entries(math.prod(size[i] for i in out))
     if sorted(out) != list(range(len(index))):  # some label is summed out
         return np.einsum(*itertools.chain.from_iterable(args), out, optimize=True)
     result = np.ones(())
@@ -406,9 +405,8 @@ class CSReport:
 
 
 def _pairing(u: Kernel, v: Kernel, p: Kernel) -> Kernel:
-    """(u ⊗ v) ∘ copy ∘ p, summed directly: Σₓ p(x|i)·u(a|x)·v(b|x)."""
-    # the one dense result left outside the entry cap (unlike compose and tensor)
-    out = contract([(p.matrix, "ix"), (u.matrix, "xa"), (v.matrix, "xb")], "iab", math.inf)
+    """(u ⊗ v) ∘ copy ∘ p, summed directly under the entry cap: Σₓ p(x|i)·u(a|x)·v(b|x)."""
+    out = contract([(p.matrix, "ix"), (u.matrix, "xa"), (v.matrix, "xb")], "iab")
     return Kernel(p.dom, u.cod + v.cod, out.reshape(len(p.matrix), -1))
 
 

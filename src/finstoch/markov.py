@@ -6,7 +6,8 @@ every box's kernel; the local and ordered screening-off conditions are
 per-box conditional independences, screening off the wires that
 ``non_descendants`` or ``past`` maps each box to; and factorization
 peels boxes from the latest stage backwards, reading each kernel off as
-a conditional of the current marginal.  For valid models the three
+a conditional of the current marginal.  A model is checked when it is
+built, so nothing here checks it again; on every model the three
 notions (compatibility with some assignment, local, ordered) agree.
 """
 
@@ -32,7 +33,6 @@ from .models import (
     CausalModel,
     TimingFunction,
     default_timing,
-    ensure_valid,
     non_descendants,
     past,
     topo_order,
@@ -77,7 +77,6 @@ def recompose(m: CausalModel, asg: BoxAssignment) -> JointState:
     its operands last first; listed in reverse topological order, the
     kernels multiply in topological order.
     """
-    ensure_valid(m)
     _check_assignment(m, asg)
     joint = contract(
         ((asg.kernels[b.name].array, b.in_wires + b.out_wires) for b in reversed(topo_order(m))),
@@ -108,7 +107,6 @@ def _screening_off_residual(
 
 def local_markov_residual(p: JointState, m: CausalModel) -> float:
     """Largest residual over boxes of: outputs _||_ non-descendants | inputs."""
-    ensure_valid(m)
     _require_same_wires(p, m)
     return _screening_off_residual(p, m, non_descendants(m))
 
@@ -117,7 +115,6 @@ def ordered_markov_residual(
     p: JointState, m: CausalModel, timing: TimingFunction | None = None
 ) -> float:
     """Largest residual over boxes of: outputs _||_ earlier wires | inputs."""
-    ensure_valid(m)
     _require_same_wires(p, m)
     t = default_timing(m) if timing is None else timing
     return _screening_off_residual(p, m, past(m, t))
@@ -134,7 +131,6 @@ def factorize(
     compatible with the model this recomposes to p exactly; the
     recomposition residual is the caller's compatibility certificate.
     """
-    ensure_valid(m)
     _require_same_wires(p, m)
     t = default_timing(m) if timing is None else timing
     validate_timing(m, t)

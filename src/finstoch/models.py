@@ -6,8 +6,11 @@ produced by exactly one box, that nothing is consumed from outside,
 that no box reads one wire twice (a wire may feed any number of
 boxes), that every wire appears exactly once among the declared
 overall outputs, and that the box-level precedence relation is acyclic.
-The topological order, every box's non-descendant and past wires,
-timing functions and the row/column latent expansion all live here.
+A model is checked once, when it is built: ``CausalModel`` raises
+``InvalidModel`` listing every violation, so every other function takes
+a valid, acyclic model.  The topological order, every box's
+non-descendant and past wires, timing functions and the row/column
+latent expansion all live here.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import MAX_WIRES, FinstochError, InvalidTiming, SizeLimit, UnknownNode
+from .errors import MAX_WIRES, InvalidModel, InvalidTiming, SizeLimit, UnknownNode
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,9 @@ class CausalModel:
         object.__setattr__(self, "wires", tuple(self.wires))
         object.__setattr__(self, "boxes", tuple(self.boxes))
         object.__setattr__(self, "outputs", tuple(self.outputs))
+        violations = validate_model(self)
+        if violations:
+            raise InvalidModel(violations)
 
     def box(self, name: str) -> Box:
         for b in self.boxes:
@@ -48,12 +54,11 @@ class CausalModel:
         raise UnknownNode(f"no box named {name!r}")
 
 
-def make_model(boxes: Iterable[Box], outputs: Iterable[str] | None = None) -> CausalModel:
-    """Assemble a model from boxes; wires and outputs default to sorted order."""
+def make_model(boxes: Iterable[Box]) -> CausalModel:
+    """Assemble a model from boxes; its wires and outputs are in sorted order."""
     boxes = tuple(boxes)
-    wires = sorted({w for b in boxes for w in b.out_wires + b.in_wires})
-    outs = tuple(outputs) if outputs is not None else tuple(wires)
-    return CausalModel(tuple(wires), boxes, outs)
+    wires = tuple(sorted({w for b in boxes for w in b.out_wires + b.in_wires}))
+    return CausalModel(wires, boxes, wires)
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,7 @@ def validate_model(m: CausalModel) -> list[Violation]:
     for w in m.outputs:
         if w not in wire_set:
             out.append(Violation("unknown-wire", w, "output is not a declared wire"))
-    _, cyclic = _kahn(m)
+    cyclic = sorted({b.name for b in m.boxes}.difference(_kahn(m)))
     if cyclic:
         out.append(
             Violation("acyclic", cyclic[0], f"boxes on a cycle: {cyclic}")
@@ -144,17 +149,11 @@ def validate_model(m: CausalModel) -> list[Violation]:
     return out
 
 
-def ensure_valid(m: CausalModel) -> None:
-    violations = validate_model(m)
-    if violations:
-        raise FinstochError(f"invalid model: {violations[0]}")
-
-
-def _kahn(m: CausalModel) -> tuple[list[str], list[str]]:
+def _kahn(m: CausalModel) -> list[str]:
     """Kahn peeling of the precedence relation, lexicographic among ready boxes.
 
-    Returns the peeled box names and, sorted, the boxes never peeled
-    because they sit on or behind a cycle.
+    Boxes on or behind a cycle are never peeled, so they are missing
+    from the returned names.
     """
     succ = _successors(m)
     indeg = {b: 0 for b in succ}
@@ -171,16 +170,13 @@ def _kahn(m: CausalModel) -> tuple[list[str], list[str]]:
             indeg[t] -= 1
             if indeg[t] == 0:
                 heapq.heappush(ready, t)
-    return order, sorted(b for b, d in indeg.items() if d > 0)
+    return order
 
 
 def topo_order(m: CausalModel) -> list[Box]:
     """Boxes in a precedence-respecting order, lexicographic among ready ones."""
-    order, cyclic = _kahn(m)
-    if cyclic:
-        raise FinstochError("model has a cycle")
     by_name = {b.name: b for b in m.boxes}
-    return [by_name[n] for n in order]
+    return [by_name[n] for n in _kahn(m)]
 
 
 def non_descendants(m: CausalModel) -> dict[str, frozenset[str]]:
@@ -188,8 +184,7 @@ def non_descendants(m: CausalModel) -> dict[str, frozenset[str]]:
 
     A box reaches its outputs and whatever the boxes consuming them
     reach, so one pass in reverse topological order builds every box's
-    reachable wires from those of its successors.  Raises on a cyclic
-    model.
+    reachable wires from those of its successors.
     """
     succ = _successors(m)
     reach: dict[str, set[str]] = {}
@@ -248,7 +243,6 @@ def past(m: CausalModel, t: TimingFunction) -> dict[str, frozenset[str]]:
 
 def default_timing(m: CausalModel) -> TimingFunction:
     """Longest-path stages: each box one step after its latest producer."""
-    ensure_valid(m)
     produced = {w: b.name for b in m.boxes for w in b.out_wires}
     times: dict[str, int] = {}
     for b in topo_order(m):

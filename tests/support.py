@@ -250,6 +250,20 @@ def random_dag_model(rng, max_boxes=4, max_wires=5) -> CausalModel:
     return make_model(boxes)
 
 
+def relaid_out(rng, m: CausalModel) -> CausalModel:
+    """The same model in another layout.
+
+    The boxes, wires and outputs are shuffled, and each box lists its
+    input and output wires in reverse.
+    """
+
+    def shuffled(items):
+        return tuple(items[i] for i in rng.permutation(len(items)))
+
+    boxes = tuple(Box(b.name, b.in_wires[::-1], b.out_wires[::-1]) for b in m.boxes)
+    return CausalModel(shuffled(m.wires), shuffled(boxes), shuffled(m.outputs))
+
+
 def random_assignment(rng, m: CausalModel, lo=2, hi=3, zero_frac=0.0):
     carriers = {w: random_carrier(rng, w, lo, hi) for w in m.wires}
     kernels = {}

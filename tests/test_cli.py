@@ -1,17 +1,23 @@
 """Command line contract: report lines, exit codes, file handling."""
 
+import contextlib
+import io
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from finstoch import (
     Box,
     Kernel,
+    SizeLimit,
     ahspec_to_json,
     assignment_from_json,
     build_ah_joint,
+    cs_check,
     default_timing,
     expand_ah_model,
     kernel_to_json,
@@ -28,10 +34,13 @@ from finstoch.cli import main
 from support import (
     carrier,
     one_element_ahspec,
+    perturbed,
     random_ahspec,
     random_assignment,
+    random_dag_model,
     random_kernel,
     random_state,
+    relaid_out,
 )
 
 
@@ -222,6 +231,26 @@ def test_check_markov_detects_incompatible_states(chain_files, tmp_path, capsys)
     code, out, _ = run(capsys, ["check-markov", state, model])
     assert code == 1
     assert all(line.startswith("FAIL") for line in out)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1), perturb=hs.booleans())
+def test_check_markov_verdicts_do_not_depend_on_the_model_layout(seed, perturb, tmp_path_factory):
+    rng = np.random.default_rng(seed)
+    m = random_dag_model(rng, max_boxes=5, max_wires=6)
+    p = recompose(m, random_assignment(rng, m))
+    if perturb:
+        p = perturbed(rng, p, eps=1e-3)
+    directory = tmp_path_factory.mktemp("layout")
+    state = write(directory, "state.json", state_to_json(p))
+    runs = []
+    for name, model in (("model.json", m), ("relaid.json", relaid_out(rng, m))):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["check-markov", state, write(directory, name, model_to_json(model))])
+        # the verdict word and check name of every line
+        runs.append((code, [line.split()[:2] for line in out.getvalue().splitlines()]))
+    assert runs[0] == runs[1]
 
 
 def test_check_markov_nan_cell_is_an_input_error(tmp_path, capsys):
@@ -683,6 +712,26 @@ def test_check_cs_interface_errors_name_the_files(tmp_path, capsys):
     code, out, err = run(capsys, ["check-cs", f, f, f])
     assert code == 2 and out == []
     assert "f.json" in err and "does not land" in err
+
+
+def test_cs_check_pairings_are_held_to_the_entry_cap(tmp_path, capsys):
+    # each pairing has 1025**2 = 1050625 > 2**20 entries
+    u, y = carrier("u", 1), carrier("Y", 1025)
+    p = Kernel.state([1.0], u)
+    f = Kernel((u,), (y,), np.full((1, y.size), 1 / y.size))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit, match="1050625 entries exceed the cap of 1048576"):
+            cs_check(p, f, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    paths = [write(tmp_path, "p.json", kernel_to_json(p))]
+    paths += [write(tmp_path, "f.json", kernel_to_json(f))] * 2
+    code, out, err = run(capsys, ["check-cs", *paths])
+    assert code == 2 and out == []
+    assert err == f"error: {', '.join(paths)}: 1050625 entries exceed the cap of 1048576\n"
 
 
 def test_unreadable_inputs_exit_2(tmp_path, capsys):

@@ -163,8 +163,8 @@ UNREFERENCED = {
     "assignment_from_json": "reads the assignment file that factorize -o writes",
     "quantile_from_json": "reads the quantile file that noise-outsource -o writes",
     "timing_to_json": "writes the timing file that check-markov --timing reads",
-    "deterministic_kernel": "the general point-mass kernel; perfbench times it by name",
-    "marginalize": "the JointState marginal; perfbench times it by name",
+    "deterministic_kernel": "a public capability: the point-mass kernel of any function",
+    "marginalize": "a public capability: the marginal of a JointState on named wires",
 }
 
 

@@ -474,15 +474,6 @@ def test_pairing_is_the_copy_tensor_composite():
     assert max_abs_diff(_pairing(u, v, p), dense) <= 1e-15
 
 
-def test_cs_check_pairings_are_not_held_to_the_entry_cap():
-    # each pairing has 1025**2 > 2**20 entries
-    y = carrier("Y", 1025)
-    p = Kernel.state([1.0], carrier("u", 1))
-    f = Kernel((carrier("u", 1),), (y,), np.full((1, y.size), 1 / y.size))
-    rep = cs_check(p, f, f)
-    assert rep.antecedent_holds and rep.consequent_holds
-
-
 # ---------------------------------------------------------------------------
 # parametric kernels
 

@@ -1,6 +1,7 @@
 """Recomposition, screening-off checks, and constructive factorization."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from finstoch import (
     reindex,
     topo_order,
 )
+from finstoch import models
 from finstoch.kernels import contract
 from support import (
     carrier,
@@ -40,6 +42,7 @@ from support import (
     random_dag_model,
     random_kernel,
     random_state,
+    relaid_out,
 )
 
 BIT = carrier("bit", 2)
@@ -332,3 +335,33 @@ def test_three_notions_agree_on_random_models():
         if trial % 2 == 0:
             assert a
             assert compatibility_residual(p, m) <= 1e-9
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(hs.integers(0, 2**32 - 1), hs.sampled_from([0.0, 0.3]), hs.booleans())
+def test_residuals_do_not_depend_on_the_model_layout(seed, zero_frac, perturb):
+    rng = np.random.default_rng(seed)
+    m = random_dag_model(rng, max_boxes=5, max_wires=6)
+    p = recompose(m, random_assignment(rng, m, zero_frac=zero_frac))
+    if perturb:
+        p = perturbed(rng, p, eps=1e-3)
+    n = relaid_out(rng, m)
+    assert local_markov_residual(p, n) == local_markov_residual(p, m)
+    assert ordered_markov_residual(p, n) == ordered_markov_residual(p, m)
+    r, s = compatibility_residual(p, m), compatibility_residual(p, n)
+    assert abs(r - s) <= (1e-15 if max(r, s) < 1e-12 else 1e-12 * max(r, s))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(hs.integers(0, 2**32 - 1), hs.booleans())
+def test_residuals_of_a_built_model_do_not_validate_it_again(seed, perturb):
+    rng = np.random.default_rng(seed)
+    m = random_dag_model(rng, max_boxes=5, max_wires=6)
+    p = recompose(m, random_assignment(rng, m))
+    if perturb:
+        p = perturbed(rng, p, eps=1e-3)
+    with mock.patch.object(models, "validate_model", wraps=models.validate_model) as spy:
+        local_markov_residual(p, m)
+        ordered_markov_residual(p, m)
+        compatibility_residual(p, m)
+    assert spy.call_count == 0

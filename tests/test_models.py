@@ -10,15 +10,16 @@ from hypothesis import strategies as hs
 from finstoch import (
     Box,
     CausalModel,
-    FinstochError,
+    InvalidModel,
     InvalidTiming,
     SizeLimit,
     TimingFunction,
     UnknownNode,
     default_timing,
-    ensure_valid,
     expand_ah_model,
     make_model,
+    model_from_json,
+    model_to_json,
     non_descendants,
     past,
     topo_order,
@@ -51,9 +52,17 @@ def _rules(violations):
     return sorted({v.rule for v in violations})
 
 
+def _violations(build):
+    """The violations of the InvalidModel that build() raises; its message is the first."""
+    with pytest.raises(InvalidModel) as info:
+        build()
+    violations = info.value.violations
+    assert str(info.value) == str(violations[0])
+    return violations
+
+
 def test_chain_is_valid():
     assert validate_model(CHAIN) == []
-    ensure_valid(CHAIN)
 
 
 def test_make_model_defaults_to_sorted_wires():
@@ -62,78 +71,104 @@ def test_make_model_defaults_to_sorted_wires():
 
 
 def test_violation_text_names_rule_and_subject():
-    m = CausalModel(("A",), (Box("f", (), ("A",)),), ())
-    (v,) = validate_model(m)
+    (v,) = _violations(lambda: CausalModel(("A",), (Box("f", (), ("A",)),), ()))
     assert v.rule == "pure-bloom"
-    assert "A" in str(v) and "pure-bloom" in str(v)
+    assert str(v) == "pure-bloom: A: wire is not an overall output"
 
 
 def test_wire_not_an_output_is_flagged():
-    m = CausalModel(
-        ("A", "X"),
-        (Box("alpha", (), ("A",)), Box("beta", ("A",), ("X",))),
-        ("X",),
+    (v,) = _violations(
+        lambda: CausalModel(
+            ("A", "X"),
+            (Box("alpha", (), ("A",)), Box("beta", ("A",), ("X",))),
+            ("X",),
+        )
     )
-    assert _rules(validate_model(m)) == ["pure-bloom"]
+    assert (v.rule, v.subject) == ("pure-bloom", "A")
 
 
 def test_output_repeated_is_flagged():
-    m = CausalModel(("A",), (Box("f", (), ("A",)),), ("A", "A"))
-    assert _rules(validate_model(m)) == ["pure-bloom"]
+    violations = _violations(lambda: CausalModel(("A",), (Box("f", (), ("A",)),), ("A", "A")))
+    assert _rules(violations) == ["pure-bloom"]
 
 
 def test_duplicate_box_names():
-    m = make_model([Box("f", (), ("A",)), Box("f", (), ("B",))])
-    assert "box-names" in _rules(validate_model(m))
+    violations = _violations(lambda: make_model([Box("f", (), ("A",)), Box("f", (), ("B",))]))
+    assert ("box-names", "f") in [(v.rule, v.subject) for v in violations]
+
+
+def test_empty_box_and_wire_names():
+    violations = _violations(lambda: make_model([Box("", (), ("",))]))
+    assert [str(v) for v in violations[:2]] == [
+        "box-names: '': box name is empty",
+        "wire-names: '': wire name is empty",
+    ]
 
 
 def test_box_and_wire_name_collision():
-    m = make_model([Box("A", (), ("A",))])
-    assert "node-names" in _rules(validate_model(m))
+    violations = _violations(lambda: make_model([Box("A", (), ("A",))]))
+    assert _rules(violations) == ["node-names"]
 
 
 def test_box_without_outputs():
-    m = CausalModel(("A",), (Box("f", (), ("A",)), Box("g", ("A",), ())), ("A",))
-    assert "box-outputs" in _rules(validate_model(m))
+    violations = _violations(
+        lambda: CausalModel(("A",), (Box("f", (), ("A",)), Box("g", ("A",), ())), ("A",))
+    )
+    assert [(v.rule, v.subject) for v in violations] == [("box-outputs", "g")]
 
 
 def test_wire_produced_twice():
-    m = make_model([Box("f", (), ("A",)), Box("g", (), ("A",))])
-    assert "produced-once" in _rules(validate_model(m))
-    m2 = make_model([Box("f", (), ("A", "A"))])
-    assert "produced-once" in _rules(validate_model(m2))
+    violations = _violations(lambda: make_model([Box("f", (), ("A",)), Box("g", (), ("A",))]))
+    assert [str(v) for v in violations] == ["produced-once: A: produced by ['f', 'g']"]
+    violations = _violations(lambda: make_model([Box("f", (), ("A", "A"))]))
+    assert "produced-once" in _rules(violations)
 
 
 def test_dangling_input_wire():
-    m = make_model([Box("f", ("A",), ("B",))])
-    rules = validate_model(m)
-    assert any(
-        v.rule == "produced-once" and v.subject == "A" for v in rules
-    )
+    violations = _violations(lambda: make_model([Box("f", ("A",), ("B",))]))
+    assert [(v.rule, v.subject) for v in violations] == [("produced-once", "A")]
 
 
 def test_wire_consumed_twice_by_one_box():
-    m = make_model([Box("f", (), ("A",)), Box("g", ("A", "A"), ("B",))])
-    assert "consumed-once" in _rules(validate_model(m))
+    violations = _violations(
+        lambda: make_model([Box("f", (), ("A",)), Box("g", ("A", "A"), ("B",))])
+    )
+    assert _rules(violations) == ["consumed-once"]
 
 
 def test_unknown_wire_reference():
-    m = CausalModel(("A",), (Box("f", (), ("A",)),), ("A", "Q"))
-    assert "unknown-wire" in _rules(validate_model(m))
+    violations = _violations(lambda: CausalModel(("A",), (Box("f", (), ("A",)),), ("A", "Q")))
+    assert [(v.rule, v.subject) for v in violations] == [("unknown-wire", "Q")]
 
 
 def test_two_box_cycle():
-    m = make_model([Box("f", ("B",), ("A",)), Box("g", ("A",), ("B",))])
-    rules = validate_model(m)
-    assert any(v.rule == "acyclic" for v in rules)
-    with pytest.raises(FinstochError):
-        topo_order(m)
+    violations = _violations(
+        lambda: make_model([Box("f", ("B",), ("A",)), Box("g", ("A",), ("B",))])
+    )
+    assert [str(v) for v in violations] == ["acyclic: f: boxes on a cycle: ['f', 'g']"]
 
 
-def test_ensure_valid_raises_on_first_violation():
-    m = make_model([Box("f", ("B",), ("A",)), Box("g", ("A",), ("B",))])
-    with pytest.raises(FinstochError):
-        ensure_valid(m)
+def test_every_violation_is_listed():
+    # a cycle, a dangling input and an unlisted output, reported in rule order
+    violations = _violations(
+        lambda: CausalModel(
+            ("A", "B", "C", "D"),
+            (Box("f", ("B", "D"), ("A",)), Box("g", ("A",), ("B", "C"))),
+            ("A", "B", "D"),
+        )
+    )
+    assert [(v.rule, v.subject) for v in violations] == [
+        ("produced-once", "D"),
+        ("pure-bloom", "C"),
+        ("acyclic", "f"),
+    ]
+
+
+def test_model_from_json_raises_invalid_model():
+    doc = model_to_json(CHAIN)
+    doc["outputs"] = ["X", "Y"]
+    violations = _violations(lambda: model_from_json(doc))
+    assert [str(v) for v in violations] == ["pure-bloom: Z: wire is not an overall output"]
 
 
 def test_topo_order_respects_precedence():
@@ -158,12 +193,6 @@ def test_non_descendants_on_the_merge():
     assert nd["beta"] == frozenset({"A", "B", "W", "Z"})
     assert nd["gamma"] == frozenset({"A", "B", "X"})
     assert nd["alpha"] == frozenset()
-
-
-def test_non_descendants_raises_on_a_cycle():
-    m = make_model([Box("f", ("B",), ("A",)), Box("g", ("A",), ("B",))])
-    with pytest.raises(FinstochError, match="cycle"):
-        non_descendants(m)
 
 
 def _bfs_non_descendants(m, box):
