@@ -143,15 +143,18 @@ def contract(
 
     Each operand lists one label per axis, usually a wire name; axes with
     the same label share one index, and labels missing from ``out`` are
-    summed out by ``einsum``.  When ``out`` keeps every label nothing is
-    summed: the operands multiply one broadcast product at a time, last
-    operand first, the order numpy's optimized einsum multiplies them in
-    when it takes one step, so each entry keeps the bits einsum gives it.
-    Each partial product spans some of the result's axes, so none is
-    larger than the result.  Raises SizeLimit before any allocation: as
-    soon as the 53rd distinct label arrives (numpy addresses 52), so
-    operands may be a lazy iterable of any length, or when the result
-    would exceed the entry cap.
+    summed out.  When ``out`` keeps every label nothing is summed: the
+    operands multiply one broadcast product at a time, last operand
+    first, the order numpy's optimized einsum multiplies them in when it
+    takes one step, so each entry keeps the bits einsum gives it.  Each
+    partial product spans some of the result's axes, so none is larger
+    than the result.  Otherwise ``einsum`` sums along the elimination
+    order of _elimination_path, given to it as an explicit path, so no
+    path is searched; no step's result exceeds the entry cap, or the
+    largest operand when that is larger.  Raises SizeLimit before any
+    allocation: as soon as the 53rd distinct label arrives (numpy
+    addresses 52), so operands may be a lazy iterable of any length, or
+    when the result would exceed the entry cap.
     """
     index: dict[Hashable, int] = {}
     size: dict[int, int] = {}
@@ -165,7 +168,9 @@ def contract(
     out = [index[label] for label in out]
     _check_entries(math.prod(size[i] for i in out))
     if sorted(out) != list(range(len(index))):  # some label is summed out
-        return np.einsum(*itertools.chain.from_iterable(args), out, optimize=True)
+        limit = max([MAX_ENTRIES] + [arr.size for arr, _ in args])
+        path = _elimination_path([idx for _, idx in args], size, set(out), limit)
+        return np.einsum(*itertools.chain.from_iterable(args), out, optimize=["einsum_path", *path])
     result = np.ones(())
     for arr, idx in reversed(args):
         axes = sorted(set(idx), key=out.index)
@@ -173,6 +178,70 @@ def contract(
         view = np.einsum(arr, idx, axes)
         result = result * np.expand_dims(view, [k for k, i in enumerate(out) if i not in axes])
     return result
+
+
+def _elimination_path(
+    labels: list[list[int]], size: dict[int, int], out: set[int], limit: int
+) -> list[tuple[int, ...]]:
+    """Einsum steps that sum the labels not in ``out``, one label at a time.
+
+    Bucket elimination: the next label summed is the one whose operands
+    together span the fewest entries, on a tie the one numbered first.
+    Its operands contract pairwise, smallest first, and each label is
+    summed as soon as no remaining operand carries it, as einsum does
+    along a given path.  No step's result exceeds ``limit`` entries: when
+    the next pair would, the operand starts a new group, the groups then
+    contract in one step, and when even that would exceed the limit, so
+    does every remaining operand, which allocates only the result.  A
+    last step multiplies what is left.  A step lists positions in
+    einsum's current operand list, which drops the step's operands and
+    appends its result.  With k operands, L summed labels and at most w
+    labels on any operand or intermediate, choosing the L labels is
+    O(L·k·w²) set work and the at most k + L steps are O(k·w) each.
+    """
+    ops = {k: set(idx) for k, idx in enumerate(labels)}  # in einsum's current order
+    new_key = itertools.count(len(ops))
+    steps: list[tuple[int, ...]] = []
+
+    def entries(carried: set[int]) -> int:
+        return math.prod(map(size.__getitem__, carried))
+
+    def kept(group: list[int]) -> set[int]:
+        """The labels a step over ``group`` keeps: those out or on another operand."""
+        rest = [s for k, s in ops.items() if k not in group]
+        return set().union(*(ops[k] for k in group)) & out.union(*rest)
+
+    def merge(group: list[int]) -> int:
+        order = list(ops)
+        steps.append(tuple(order.index(key) for key in group))
+        merged = kept(group)
+        for key in group:
+            del ops[key]
+        key = next(new_key)
+        ops[key] = merged
+        return key
+
+    while True:
+        span: dict[int, set[int]] = {}
+        for s in ops.values():
+            for i in s - out:
+                span.setdefault(i, set()).update(s)
+        if not span:
+            break
+        label = min(span, key=lambda i: (entries(span[i]), i))
+        groups: list[int] = []
+        for key in sorted((k for k, s in ops.items() if label in s), key=lambda k: entries(ops[k])):
+            if groups and entries(kept([groups[-1], key])) <= limit:
+                groups[-1] = merge([groups[-1], key])
+            else:
+                groups.append(key)
+        if label in ops[groups[0]]:  # not yet summed: a lone operand, or groups too large to pair
+            if entries(kept(groups)) > limit:
+                break
+            merge(groups)
+    if len(ops) > 1:
+        merge(list(ops))
+    return steps
 
 
 def max_abs_diff(f: Kernel, g: Kernel) -> float:

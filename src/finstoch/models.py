@@ -68,7 +68,8 @@ class Violation:
     detail: str
 
     def __str__(self) -> str:
-        return f"{self.rule}: {self.subject}: {self.detail}"
+        subject = self.subject or "''"  # an empty name would print as nothing
+        return f"{self.rule}: {subject}: {self.detail}"
 
 
 def _successors(m: CausalModel) -> dict[str, set[str]]:
@@ -87,12 +88,12 @@ def validate_model(m: CausalModel) -> list[Violation]:
     out: list[Violation] = []
     names = [b.name for b in m.boxes]
     if "" in names:
-        out.append(Violation("box-names", "''", "box name is empty"))
+        out.append(Violation("box-names", "", "box name is empty"))
     for n in sorted({n for n in names if names.count(n) > 1}):
         out.append(Violation("box-names", n, "box name declared more than once"))
     wire_set = set(m.wires)
     if "" in wire_set:
-        out.append(Violation("wire-names", "''", "wire name is empty"))
+        out.append(Violation("wire-names", "", "wire name is empty"))
     for w in sorted({w for w in m.wires if m.wires.count(w) > 1}):
         out.append(Violation("wire-names", w, "wire declared more than once"))
     for n in sorted(set(names) & wire_set):

@@ -21,6 +21,7 @@ from finstoch import (
     ci_residual,
     compose,
     copy_kernel,
+    cs_check,
     decode_names,
     expand_ah_model,
     grid_transpositions,
@@ -35,6 +36,7 @@ from finstoch import (
     tensor,
     verify_ah_lemmas,
 )
+from finstoch import kernels
 from finstoch.kernels import contract
 from support import (
     carrier,
@@ -358,3 +360,67 @@ def test_perturbing_the_joint_breaks_the_entry_screening():
     assert mutual_ci_residual(j, entries, tails) <= DEFAULT_ATOL
     bad = perturbed(rng, j, eps=0.1)
     assert mutual_ci_residual(bad, entries, tails) > DEFAULT_ATOL
+
+
+def test_summing_contractions_search_no_einsum_path(monkeypatch):
+    rng = np.random.default_rng(23)
+    spec = random_ahspec(rng, 3, hi=2)
+    q, f = random_state(rng, carrier("A", 3)), random_kernel(rng, carrier("A", 3), carrier("X", 3))
+    p = random_state(rng, carrier("P", 8))
+    u, v = (random_kernel(rng, carrier("P", 8), carrier("Y", 4)) for _ in range(2))
+    calls = []
+    einsum = np.einsum
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("optimize", False))
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    build_ah_joint(spec)
+    build_definetti_joint(q, f, 8)
+    cs_check(p, u, v)
+    monkeypatch.undo()
+    paths = [opt for opt in calls if isinstance(opt, list)]
+    assert len(paths) == 5  # the grid, the sequence and the three pairings
+    assert all(opt[0] == "einsum_path" for opt in paths)
+    assert not [opt for opt in calls if opt is True or opt in ("greedy", "optimal")]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exposed_grid_is_bitwise_the_stepwise_product(n):
+    spec = random_ahspec(np.random.default_rng(n), n)
+    p = build_ah_joint(spec, expose_latents=True)
+    rows = cols = range(1, n + 1)
+    operands = (  # build_ah_joint's, in its order
+        [(spec.q.matrix[0], ["T"])]
+        + [(spec.f.matrix, ["T", f"R[{i}]"]) for i in rows]
+        + [(spec.g.matrix, ["T", f"C[{j}]"]) for j in cols]
+        + [(spec.h.array, [f"R[{i}]", "T", f"C[{j}]", f"S[{i},{j}]"]) for i in rows for j in cols]
+    )
+    index: dict[str, int] = {}
+    ints = lambda labels: [index.setdefault(w, len(index)) for w in labels]
+    current, have = np.ones(()), []
+    for arr, labels in reversed(operands):  # last operand first, one product each
+        new = have + [w for w in labels if w not in have]
+        current = np.einsum(current, ints(have), arr, ints(labels), ints(new))
+        have = new
+    want = current.transpose([have.index(w) for w in p.wire_names])
+    assert p.array.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_unexposed_grid_steps_stay_under_the_cap(monkeypatch):
+    # a 1x14 grid on 16-element latents: h has 512 entries, the joint 2**14, the cap here;
+    # summing T and R[1] pairwise would pass through T, R[1] and 13 cells, 2**21 entries
+    monkeypatch.setattr(kernels, "MAX_ENTRIES", 2**14)
+    rng = np.random.default_rng(97)
+    t, r, c, s = carrier("T", 16), carrier("R", 16), carrier("C", 1), carrier("S", 2)
+    spec = AHSpec(random_state(rng, t), random_kernel(rng, t, r), random_kernel(rng, t, c),
+                  random_kernel(rng, (r, t, c), s), 1, 14)
+    tracemalloc.start()
+    try:
+        p = build_ah_joint(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(p.array.sum() - 1.0) <= 1e-12
+    assert peak < 10 * 8 * 2**14  # ten result-sized arrays; the pairwise path takes ~200

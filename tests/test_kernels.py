@@ -35,6 +35,7 @@ from finstoch import (
     swap_kernel,
     tensor,
 )
+from finstoch import kernels
 from finstoch.kernels import _marginal, _pairing, contract
 from support import (
     carrier,
@@ -348,6 +349,72 @@ def test_contract_matches_unoptimized_einsum(operands, out):
     got = contract(operands, out)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "operands, out",
+    [
+        # every pair outgrows the operands and the result: one step of three
+        ([(_RNG.random((3, 4)), "ix"), (_RNG.random((4, 3)), "xa"), (_RNG.random((4, 3)), "xb")],
+         "iab"),
+        # so does the step that would sum t alone: one step of everything left
+        ([(_RNG.random(3), "t")] + [(_RNG.random((3, 3, 2)), "tr" + s) for s in "abc"]
+         + [(_RNG.random(3), "r")], "abc"),
+    ],
+    ids=["pairs-too-large", "bucket-too-large"],
+)
+def test_contract_under_a_cap_the_result_just_meets(monkeypatch, operands, out):
+    spec = ",".join(labels for _, labels in operands) + "->" + out
+    want = np.einsum(spec, *(arr for arr, _ in operands), optimize=False)
+    monkeypatch.setattr(kernels, "MAX_ENTRIES", want.size)
+    got = contract(operands, out)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-15
+
+
+@hs.composite
+def _contract_cases(draw):
+    """Operands with shared, repeated and summed labels, 0-d ones among them, and a shuffled out."""
+    sizes = draw(hs.lists(hs.integers(1, 3), min_size=1, max_size=6))  # one carrier per label
+    labels = hs.lists(hs.integers(0, len(sizes) - 1), max_size=4)  # repeats allowed; [] is 0-d
+    idxs = draw(hs.lists(labels, min_size=1, max_size=6))
+    if draw(hs.booleans()):  # a label every operand carries
+        sizes.append(draw(hs.integers(1, 3)))
+        idxs = [idx + [len(sizes) - 1] for idx in idxs]
+    used = sorted({i for idx in idxs for i in idx})
+    out = draw(hs.permutations(used))[: draw(hs.integers(0, len(used)))]
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    operands = []
+    for idx in idxs:
+        arr = np.array(rng.random([sizes[i] for i in idx]))
+        operands.append((arr / max(arr.sum(), 1.0), idx))  # every sum of products stays <= 1
+    return operands, out
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_contract_cases())
+def test_contract_matches_unoptimized_einsum_on_drawn_operands(case):
+    operands, out = case
+    want = np.einsum(*itertools.chain.from_iterable(operands), out, optimize=False)
+    got = contract(operands, out)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-15
+
+
+def test_pairing_steps_stay_under_the_cap(monkeypatch):
+    # p, u and v have 4e4 entries and each pairing 8e3, the cap here; p times u alone has 8e5
+    rng = np.random.default_rng(98)
+    i, x, y = carrier("I", 20), carrier("X", 2000), carrier("Y", 20)
+    p, u, v = random_kernel(rng, i, x), random_kernel(rng, x, y), random_kernel(rng, x, y)
+    monkeypatch.setattr(kernels, "MAX_ENTRIES", 8000)
+    tracemalloc.start()
+    try:
+        rep = cs_check(p, u, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not rep.antecedent_holds
+    assert peak < 8 * 8 * 40_000  # eight input-sized arrays; the pairwise path takes ~40
 
 
 def test_conditional_of_a_product_state_is_constant():

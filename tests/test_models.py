@@ -103,6 +103,14 @@ def test_empty_box_and_wire_names():
         "box-names: '': box name is empty",
         "wire-names: '': wire name is empty",
     ]
+    assert [(v.rule, v.subject) for v in violations[:2]] == [("box-names", ""), ("wire-names", "")]
+
+
+def test_every_rule_renders_an_empty_name_as_quotes():
+    lines = [str(v) for v in _violations(lambda: make_model([Box("", (), ("",))]))]
+    assert "node-names: '': name used for both a box and a wire" in lines
+    lines = [str(v) for v in _violations(lambda: make_model([Box("", (), ("A",)), Box("", (), ("B",))]))]
+    assert "box-names: '': box name declared more than once" in lines
 
 
 def test_box_and_wire_name_collision():
