@@ -86,6 +86,7 @@ _EXPORTS = {
         "compatibility_residual",
         "factorize",
         "local_markov_residual",
+        "markov_residuals",
         "ordered_markov_residual",
         "recompose",
     ),

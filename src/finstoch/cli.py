@@ -161,6 +161,11 @@ def _cmd_check_ci(args) -> list[CheckLine]:
     x = _wire_list(args.x, "--x")
     y = _wire_list(args.y, "--y")
     given = _wire_list(args.given, "--given") if args.given else []
+    named: dict[str, str] = {}
+    for flag, wires in (("--x", x), ("--y", y), ("--given", given)):
+        for w in wires:
+            if named.setdefault(w, flag) != flag:
+                raise ShapeMismatch(f"{named[w]} and {flag} both name {w!r}")
     with _blame(args.state):
         r = ci_residual(p, x, y, given)
     return [(r <= atol, f"ci {_fmt_groups(x, y, given)}", r)]
@@ -186,23 +191,14 @@ def _load_state_and_model(args):
 
 
 def _cmd_check_markov(args) -> list[CheckLine]:
-    from .markov import compatibility_residual, local_markov_residual, ordered_markov_residual
+    from .markov import compatibility_residual, markov_residuals
 
     atol = _atol()
     p, m, t = _load_state_and_model(args)
-    run_all = not (args.local or args.ordered)
-    lines: list[CheckLine] = []
     with _blame(args.state):
-        if args.local or run_all:
-            r = local_markov_residual(p, m)
-            lines.append((r <= atol, "local-markov", r))
-        if args.ordered or run_all:
-            r = ordered_markov_residual(p, m, t)
-            lines.append((r <= atol, "ordered-markov", r))
-        if run_all:
-            r = compatibility_residual(p, m, t)
-            lines.append((r <= atol, "compatible", r))
-    return lines
+        residuals = (*markov_residuals(p, m, t), compatibility_residual(p, m, t))
+    names = ("local-markov", "ordered-markov", "compatible")
+    return [(r <= atol, name, r) for name, r in zip(names, residuals)]
 
 
 def _cmd_factorize(args) -> list[CheckLine]:
@@ -389,9 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("state")
     s.add_argument("model")
     s.add_argument("--timing", help="JSON file of box stages")
-    mode = s.add_mutually_exclusive_group()
-    mode.add_argument("--local", action="store_true", help="local property only")
-    mode.add_argument("--ordered", action="store_true", help="ordered property only")
     s.set_defaults(handler=_cmd_check_markov)
 
     s = sub.add_parser("factorize", help="read box kernels off a state")

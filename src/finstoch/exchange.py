@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .ci import ci_residual, mutual_ci_residual
+from .ci import _worst_residuals
 from .errors import BadWireNaming, DomainMismatch, ShapeMismatch
 from .kernels import (
     DEFAULT_ATOL,
@@ -263,22 +263,20 @@ def verify_ah_lemmas(spec: AHSpec) -> AHLemmaReport:
         raise ShapeMismatch("a square grid is required")
     n = spec.rows
     p = build_ah_joint(spec, expose_latents=True)
-    rs = [f"R[{i}]" for i in range(1, n + 1)]
-    cs = [f"C[{j}]" for j in range(1, n + 1)]
-    entries = [f"S[{i},{j}]" for i in range(1, n + 1) for j in range(1, n + 1)]
-    tails = rs + cs + ["T"]
-    r1 = mutual_ci_residual(p, [[e] for e in entries], tails)
-    r2 = 0.0
-    for i, j in itertools.product(range(1, n + 1), repeat=2):
-        unrelated = (
-            [f"R[{k}]" for k in range(1, n + 1) if k != i]
-            + [f"C[{l}]" for l in range(1, n + 1) if l != j]
-            + [f"S[{k},{l}]" for k in range(1, n + 1) for l in range(1, n + 1) if k != i and l != j]
-        )
-        if unrelated:
-            tails_ij = [f"R[{i}]", f"C[{j}]", "T"]
-            r2 = max(r2, ci_residual(p, [f"S[{i},{j}]"], unrelated, tails_ij))
-    r3 = mutual_ci_residual(p, [[w] for w in rs + cs], ["T"])
+    ns = range(1, n + 1)
+    rs, cs = [f"R[{i}]" for i in ns], [f"C[{j}]" for j in ns]
+    entries = [f"S[{i},{j}]" for i in ns for j in ns]
+
+    def entry_vs_unrelated():
+        for i, j in itertools.product(ns, repeat=2):
+            unrelated = [f"R[{k}]" for k in ns if k != i] + [f"C[{l}]" for l in ns if l != j]
+            unrelated += [f"S[{k},{l}]" for k in ns for l in ns if k != i and l != j]
+            if unrelated:
+                yield [[f"S[{i},{j}]"], unrelated], [f"R[{i}]", f"C[{j}]", "T"]
+
+    lemma1 = ([[e] for e in entries], rs + cs + ["T"])  # the entries, given every tail
+    lemma3 = ([[w] for w in rs + cs], ["T"])  # the tails, given the latent
+    r1, r2, r3 = _worst_residuals(p, [[lemma1], entry_vs_unrelated(), [lemma3]])
     return AHLemmaReport(
         entries_independent=r1 <= DEFAULT_ATOL,
         entry_separated=r2 <= DEFAULT_ATOL,

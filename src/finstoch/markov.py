@@ -6,9 +6,10 @@ every box's kernel; the local and ordered screening-off conditions are
 per-box conditional independences, screening off the wires that
 ``non_descendants`` or ``past`` maps each box to; and factorization
 peels boxes from the latest stage backwards, reading each kernel off as
-a conditional of the current marginal.  A model is checked when it is
-built, so nothing here checks it again; on every model the three
-notions (compatibility with some assignment, local, ordered) agree.
+a conditional of the current marginal.  The two screening-off families
+share one statement table in ``markov_residuals``.  A model is checked
+when it is built, so nothing here checks it again; on every model the
+three notions (compatibility with some assignment, local, ordered) agree.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .ci import ci_residual
+from .ci import _worst_residuals
 from .errors import ShapeMismatch, UnknownNode, UnknownWire, WireMismatch
 from .kernels import (
     FinSet,
@@ -93,22 +94,18 @@ def _require_same_wires(p: JointState, m: CausalModel) -> None:
         )
 
 
-def _screening_off_residual(
-    p: JointState, m: CausalModel, screened: Mapping[str, frozenset[str]]
-) -> float:
-    """Largest residual over boxes of: outputs _||_ screened[box] | inputs."""
-    worst = 0.0
+def _screening_off(m: CausalModel, screened: Mapping[str, frozenset[str]]):
+    """Per box: outputs _||_ screened[box] | inputs, for boxes that screen off any wire."""
     for b in m.boxes:
         rest = screened[b.name] - set(b.in_wires) - set(b.out_wires)
         if rest:
-            worst = max(worst, ci_residual(p, b.out_wires, rest, b.in_wires))
-    return worst
+            yield [b.out_wires, rest], b.in_wires
 
 
 def local_markov_residual(p: JointState, m: CausalModel) -> float:
     """Largest residual over boxes of: outputs _||_ non-descendants | inputs."""
     _require_same_wires(p, m)
-    return _screening_off_residual(p, m, non_descendants(m))
+    return _worst_residuals(p, [_screening_off(m, non_descendants(m))])[0]
 
 
 def ordered_markov_residual(
@@ -117,7 +114,17 @@ def ordered_markov_residual(
     """Largest residual over boxes of: outputs _||_ earlier wires | inputs."""
     _require_same_wires(p, m)
     t = default_timing(m) if timing is None else timing
-    return _screening_off_residual(p, m, past(m, t))
+    return _worst_residuals(p, [_screening_off(m, past(m, t))])[0]
+
+
+def markov_residuals(
+    p: JointState, m: CausalModel, timing: TimingFunction | None = None
+) -> tuple[float, float]:
+    """The local and the ordered residual, each shared statement evaluated once."""
+    _require_same_wires(p, m)
+    t = default_timing(m) if timing is None else timing
+    families = [_screening_off(m, non_descendants(m)), _screening_off(m, past(m, t))]
+    return tuple(_worst_residuals(p, families))
 
 
 def factorize(

@@ -1,6 +1,7 @@
 """Conditional independence residuals and the two-partition argument."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from finstoch import (
     mutual_ci_residual,
     tensor,
 )
+from finstoch import ci
 from support import (
     block_product_joint,
     carrier,
@@ -184,6 +186,17 @@ def test_partition_conclusion_refines_both_premises():
             j, [["a", "b"], ["c", "d"]], [["a", "c"], ["b", "d"]]
         )
         assert max(residuals) <= 1e-12
+
+
+def test_a_refinement_equal_to_the_finer_partition_is_evaluated_once():
+    rng = np.random.default_rng(19)
+    p = perturbed(rng, block_product_joint(rng, [["a"], ["b"], ["c", "d"]]))
+    fine, coarse = [["a"], ["b"], ["c", "d"]], [["a", "b"], ["c", "d"]]
+    assert common_refinement(fine, coarse) == [frozenset(b) for b in fine]
+    with mock.patch.object(ci, "mutual_ci_residual", wraps=ci.mutual_ci_residual) as spy:
+        residuals = check_partition_lemma(p, fine, coarse)
+    assert spy.call_count == 2
+    assert residuals[2] == residuals[0] > 1e-6
 
 
 def test_partition_with_conditioning_wires():

@@ -26,6 +26,7 @@ from finstoch import (
     outsourced_form,
     quantile_from_json,
     recompose,
+    reindex,
     state_from_json,
     state_to_json,
     timing_to_json,
@@ -188,6 +189,23 @@ def test_check_ci_rejects_a_wire_repeated_within_one_list(tmp_path, capsys, flag
     assert err.startswith(f"error: {flag} ") and "twice" in err
 
 
+@pytest.mark.parametrize(
+    "flags, first, second, wire",
+    [
+        (["--x", "x", "--y", "x"], "--x", "--y", "x"),
+        (["--x", "x,w", "--y", "y", "--given", "w"], "--x", "--given", "w"),
+        (["--x", "x", "--y", "y", "--given", "y"], "--y", "--given", "y"),
+    ],
+)
+def test_check_ci_rejects_a_wire_two_flags_name(tmp_path, capsys, flags, first, second, wire):
+    # the flags are at fault, not the state file
+    state = _triple_state(tmp_path)
+    code, out, err = run(capsys, ["check-ci", state, *flags])
+    assert code == 2
+    assert out == []
+    assert err == f"error: {first} and {second} both name {wire!r}\n"
+
+
 def test_check_markov_default_runs_three_checks(chain_files, capsys):
     model, state = chain_files
     code, out, _ = run(capsys, ["check-markov", state, model])
@@ -200,14 +218,12 @@ def test_check_markov_default_runs_three_checks(chain_files, capsys):
     assert all(line.startswith("PASS") and "residual=" in line for line in out)
 
 
-def test_check_markov_single_property_flags(chain_files, capsys):
+@pytest.mark.parametrize("flag", ["--local", "--ordered"])
+def test_check_markov_has_no_single_property_flags(chain_files, flag):
     model, state = chain_files
-    for flag, name in (("--local", "local-markov"), ("--ordered", "ordered-markov")):
-        code, out, _ = run(capsys, ["check-markov", state, model, flag])
-        assert code == 0
-        assert len(out) == 1 and out[0].startswith(f"PASS {name}")
-    with pytest.raises(SystemExit):
-        main(["check-markov", state, model, "--local", "--ordered"])
+    with pytest.raises(SystemExit) as exit_:
+        main(["check-markov", state, model, flag])
+    assert exit_.value.code == 2
 
 
 def _coupled_state(tmp_path):
@@ -250,6 +266,32 @@ def test_check_markov_verdicts_do_not_depend_on_the_model_layout(seed, perturb, 
             code = main(["check-markov", state, write(directory, name, model_to_json(model))])
         # the verdict word and check name of every line
         runs.append((code, [line.split()[:2] for line in out.getvalue().splitlines()]))
+    assert runs[0] == runs[1]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1), perturb=hs.booleans())
+def test_check_ci_and_markov_verdicts_do_not_depend_on_the_wire_order(
+    seed, perturb, tmp_path_factory
+):
+    rng = np.random.default_rng(seed)
+    m = random_dag_model(rng, max_boxes=5, max_wires=6)
+    p = recompose(m, random_assignment(rng, m))
+    if perturb:
+        p = perturbed(rng, p, eps=1e-3)
+    wires = list(p.wire_names)
+    x, y, *given = (wires[i] for i in rng.permutation(len(wires))[: int(rng.integers(2, 5))])
+    ci_flags = ["--x", x, "--y", y] + (["--given", ",".join(given)] if given else [])
+    directory = tmp_path_factory.mktemp("order")
+    model = write(directory, "model.json", model_to_json(m))
+    runs = []
+    for state in (p, reindex(p, [wires[i] for i in rng.permutation(len(wires))])):
+        path = write(directory, "state.json", state_to_json(state))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes = main(["check-ci", path, *ci_flags]), main(["check-markov", path, model])
+        # the verdict word and check name of every line
+        runs.append((codes, [line.split()[:2] for line in out.getvalue().splitlines()]))
     assert runs[0] == runs[1]
 
 
@@ -304,7 +346,7 @@ def test_raised_entry_under_a_loose_atol_is_rejected_at_load(
     grid["rows"][0][0] += 5
     monkeypatch.setenv("FINSTOCH_ATOL", "10")
     for command, doc, rest in (
-        ("check-markov", chain, [model, "--local"]),
+        ("check-markov", chain, [model]),
         ("check-exchangeable", grid, []),
     ):
         code, out, err = run(capsys, [command, write(tmp_path, "raised.json", doc)] + rest)

@@ -22,22 +22,28 @@ from finstoch import (
     UnknownWire,
     WireMismatch,
     as_equal_residual,
+    build_ah_joint,
+    check_partition_lemma,
+    ci_residual,
     compatibility_residual,
+    expand_ah_model,
     factorize,
     local_markov_residual,
     make_model,
     marginalize,
+    markov_residuals,
     max_abs_diff,
     ordered_markov_residual,
     recompose,
     reindex,
     topo_order,
 )
-from finstoch import models
+from finstoch import ci, models
 from finstoch.kernels import contract
 from support import (
     carrier,
     perturbed,
+    random_ahspec,
     random_assignment,
     random_dag_model,
     random_kernel,
@@ -365,3 +371,73 @@ def test_residuals_of_a_built_model_do_not_validate_it_again(seed, perturb):
         ordered_markov_residual(p, m)
         compatibility_residual(p, m)
     assert spy.call_count == 0
+
+
+def _random_timing(rng, m):
+    """A valid timing: each box one or two stages after its latest producer."""
+    produced = {w: b.name for b in m.boxes for w in b.out_wires}
+    times: dict[str, int] = {}
+    for b in topo_order(m):
+        latest = max((times[produced[w]] for w in b.in_wires), default=0)
+        times[b.name] = latest + int(rng.integers(1, 3))
+    return TimingFunction(times)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(hs.integers(0, 2**32 - 1), hs.sampled_from([0.0, 0.3]), hs.booleans())
+def test_markov_residuals_are_bitwise_the_single_property_residuals(seed, zero_frac, perturb):
+    rng = np.random.default_rng(seed)
+    m = random_dag_model(rng, max_boxes=5, max_wires=6)
+    p = recompose(m, random_assignment(rng, m, zero_frac=zero_frac))
+    if perturb:
+        p = perturbed(rng, p, eps=1e-3)
+    t = _random_timing(rng, m)
+    assert markov_residuals(p, m, t) == (
+        local_markov_residual(p, m),
+        ordered_markov_residual(p, m, t),
+    )
+    assert markov_residuals(p, m) == (local_markov_residual(p, m), ordered_markov_residual(p, m))
+
+
+@pytest.mark.parametrize("n, separate, together", [(2, 16, 12), (3, 30, 21)])
+def test_markov_residuals_evaluate_a_shared_statement_once(n, separate, together):
+    # the entry boxes screen off the same wires under both properties
+    m = expand_ah_model(n)
+    p = build_ah_joint(random_ahspec(np.random.default_rng(n), n, hi=2), expose_latents=True)
+    with mock.patch.object(ci, "mutual_ci_residual", wraps=ci.mutual_ci_residual) as spy:
+        residuals = local_markov_residual(p, m), ordered_markov_residual(p, m)
+        assert spy.call_count == separate
+        spy.reset_mock()
+        assert markov_residuals(p, m) == residuals
+        assert spy.call_count == together
+
+
+def _agree(r: float, s: float) -> bool:
+    return abs(r - s) <= (1e-15 if max(r, s) < 1e-12 else 1e-12 * max(r, s))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(hs.integers(0, 2**32 - 1), hs.sampled_from([0.0, 0.3]), hs.booleans())
+def test_residuals_do_not_depend_on_the_wire_order(seed, zero_frac, perturb):
+    rng = np.random.default_rng(seed)
+    m = random_dag_model(rng, max_boxes=5, max_wires=6)
+    p = recompose(m, random_assignment(rng, m, zero_frac=zero_frac))
+    if perturb:
+        p = perturbed(rng, p, eps=1e-3)
+    wires = list(p.wire_names)
+    q = reindex(p, [wires[i] for i in rng.permutation(len(wires))])
+    picked = [wires[i] for i in rng.permutation(len(wires))]
+    k = int(rng.integers(2, len(wires) + 1))
+    ground, given = picked[:k], picked[k:]
+    b1, b2 = (
+        [[w for w, label in zip(ground, labels) if label == b] for b in sorted(set(labels))]
+        for labels in (rng.integers(0, 2, k).tolist(), rng.integers(0, 3, k).tolist())
+    )
+    pairs = [
+        (ci_residual(p, ground[:1], ground[1:], given), ci_residual(q, ground[:1], ground[1:], given)),
+        *zip(markov_residuals(p, m), markov_residuals(q, m)),
+        *zip(check_partition_lemma(p, b1, b2, given), check_partition_lemma(q, b1, b2, given)),
+        (compatibility_residual(p, m), compatibility_residual(q, m)),
+    ]
+    for r, s in pairs:
+        assert _agree(r, s), (r, s)
