@@ -80,12 +80,13 @@ def ci_residual(
 def _worst_residuals(p: JointState, families: Iterable[Iterable[tuple]]) -> list[float]:
     """Largest residual of each family of (parts, given) statements on p; 0 if empty.
 
-    A statement is evaluated once, keyed by its parts in order and its given
-    wires as sets; as ``_as_groups`` orders them by p's wires, that fixes its bits.
+    A statement is evaluated once, keyed by its parts and given wires as sets, with its
+    parts ordered by their first wire in p, so its bits do not depend on how it is listed.
     """
-    table = functools.cache(lambda parts, given: mutual_ci_residual(p, parts, given))
+    first = lambda part: min(map(p.wire_index, part))
+    table = functools.cache(lambda ps, g: mutual_ci_residual(p, sorted(ps, key=first), g))
     return [
-        max((table(tuple(map(frozenset, ps)), frozenset(g)) for ps, g in family), default=0.0)
+        max((table(frozenset(map(frozenset, ps)), frozenset(g)) for ps, g in family), default=0.0)
         for family in families
     ]
 

@@ -14,9 +14,9 @@ Setting the environment variable ``FINSTOCH_ATOL`` overrides every one
 of these; it must be a finite non-negative number, or the command exits
 2.  Input kernels, states and specs must be stochastic within 1e-9, or
 within ``FINSTOCH_ATOL`` if that is stricter: a larger value loosens
-verdicts, never what input is accepted.  States, contractions and
-deterministic kernels such as the noise-outsource mechanism are capped
-at 2**20 entries, contractions also at 52 wires; larger inputs exit 2.
+verdicts, never what input is accepted.  States, contractions,
+deterministic kernels and the noise-outsource check's cell table are
+capped at 2**20 entries, contractions also at 52 wires; larger inputs exit 2.
 
 Each subcommand imports the modules it runs when it runs: ``replay``
 and ``validate-model`` load no numpy.
@@ -321,9 +321,9 @@ def _cmd_noise_outsource(args) -> list[CheckLine]:
     )
     with _blame(args.kernel):
         qf = quantile_pushback(f, order)
-        r1 = pushforward_residual(qf, f)
-        seed, mech = _outsourced(qf)
-        r2 = outsourced_residual(f, seed, mech)
+        if args.output:  # first, so that a map past the entry cap exits before the check
+            seed, mech = _outsourced(qf)
+        r1, r2 = pushforward_residual(qf, f), outsourced_residual(qf, f)
     if args.output:
         _write_json(
             args.output,

@@ -19,7 +19,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainMismatch, ShapeMismatch
-from .kernels import DEFAULT_ATOL, FinSet, Kernel, _factors, _flat_size, _point_masses
+from .kernels import DEFAULT_ATOL, FinSet, Kernel, _check_entries, _factors, _flat_size, _point_masses
+
+
+def _final_breakpoint_slack(n: int) -> float:
+    """How far from 1 the last of n breakpoints may lie: DEFAULT_ATOL plus two ulps each."""
+    return DEFAULT_ATOL + 2 * n * math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -64,10 +69,8 @@ class QuantileFunction:
                 b > a for a, b in itertools.pairwise(uppers)
             ):
                 raise ShapeMismatch("breakpoints must increase from 0 to 1")
-            if not abs(uppers[-1] - 1.0) <= DEFAULT_ATOL + 2 * len(row) * math.ulp(1.0):
-                raise ShapeMismatch(
-                    f"final breakpoint {uppers[-1]!r} is not 1"
-                )
+            if not abs(uppers[-1] - 1.0) <= _final_breakpoint_slack(len(row)):
+                raise ShapeMismatch(f"final breakpoint {uppers[-1]!r} is not 1")
             ranks = [rank.get(bp.value) for bp in row]
             if None in ranks:
                 raise ShapeMismatch("a breakpoint value is not in the carrier")
@@ -133,30 +136,31 @@ def outsourced_form(f: Kernel, order: Sequence[str]) -> tuple[Kernel, Kernel]:
     return _outsourced(quantile_pushback(f, order))
 
 
-def _outsourced(qf: QuantileFunction) -> tuple[Kernel, Kernel]:
-    """The seed and cell map of outsourced_form, read off a built staircase."""
+def _cells(qf: QuantileFunction, width: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The seed's cell masses, and each input's value index for every cell; the
+    entry cap is checked for ``width`` entries per table entry before it is built."""
     uppers = sorted({bp.upper for row in qf.rows for bp in row})
-    cells = FinSet("U", tuple(f"u{k}" for k in range(1, len(uppers) + 1)))
-    probs = np.diff([0.0] + uppers)
-    seed = Kernel.state(probs / probs.sum(), cells)
-
-    def cols(_) -> np.ndarray:
-        # value_at for every (input, seed cell) pair, one searchsorted per input
-        table = np.empty((len(qf.rows), len(uppers)), dtype=np.intp)
-        for x, row in enumerate(qf.rows):
-            k = np.searchsorted([bp.upper for bp in row], uppers)
-            values = np.array([qf.cod.index(bp.value) for bp in row])
-            table[x] = values[np.minimum(k, len(row) - 1)]
-        return table.T.ravel()  # mechanism rows run over (seed cell, input)
-
-    return seed, _point_masses((cells,) + qf.dom, (qf.cod,), cols)
+    _check_entries(len(qf.rows) * len(uppers) * width)
+    table = np.empty((len(qf.rows), len(uppers)), dtype=np.intp)
+    for x, row in enumerate(qf.rows):  # value_at on every cell, one searchsorted per input
+        k = np.minimum(np.searchsorted([bp.upper for bp in row], uppers), len(row) - 1)
+        table[x] = np.array([qf.cod.index(bp.value) for bp in row])[k]
+    return np.diff([0.0] + uppers), table
 
 
-def outsourced_residual(f: Kernel, seed: Kernel, mech: Kernel) -> float:
-    """Largest deviation from f of Σᵤ seed(u)·mech(u,x,·), the composite of
-    mech after seed ⊗ identity, summed without building seed ⊗ identity."""
-    if seed.dom or mech.dom != seed.cod + f.dom or mech.cod != f.cod:
-        raise DomainMismatch("seed and mechanism do not match the kernel's interface")
-    mech3 = mech.matrix.reshape(seed.matrix.shape[1], *f.matrix.shape)
-    composite = np.einsum("u,uxy->xy", seed.matrix[0], mech3)
-    return float(np.abs(composite - f.matrix).max())
+def _outsourced(qf: QuantileFunction) -> tuple[Kernel, Kernel]:
+    """outsourced_form's seed, whose masses are the cell lengths, and its map on (cell, input)."""
+    masses, table = _cells(qf, qf.cod.size)  # the map's cap, before its table
+    cells = FinSet("U", tuple(f"u{k}" for k in range(1, len(masses) + 1)))
+    seed = Kernel((), (cells,), masses[None], _final_breakpoint_slack(len(masses)))
+    return seed, _point_masses((cells,) + qf.dom, (qf.cod,), lambda _: table.T.ravel())
+
+
+def outsourced_residual(qf: QuantileFunction, f: Kernel) -> float:
+    """Largest deviation from f of the composite of outsourced_form's seed and map:
+    per input, the cell masses summed by the value each cell maps to, without the map."""
+    if f.dom != qf.dom or f.cod != (qf.cod,):
+        raise DomainMismatch("kernel interface does not match the quantile map")
+    masses, table = _cells(qf)
+    sums = (np.bincount(cols, masses, minlength=qf.cod.size) for cols in table)
+    return max(float(np.abs(s - raw).max()) for s, raw in zip(sums, f.matrix))

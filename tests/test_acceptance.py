@@ -32,6 +32,7 @@ from finstoch import (
     local_markov_residual,
     max_abs_diff,
     ordered_markov_residual,
+    outsourced_residual,
     parametric_cs_check,
     pushforward_residual,
     quantile_pushback,
@@ -341,10 +342,10 @@ def test_latent_grid_suite():
 
 
 def test_noise_outsourcing():
-    """Cell lengths reproduce rows; lookups are monotone into the carrier."""
+    """Cell lengths and the seed-mechanism composite reproduce rows; lookups are monotone."""
     rng = np.random.default_rng(109)
     trials = 1000
-    worst = 0.0
+    worst = composite = 0.0
     mono_ok = True
     for k in range(trials):
         y = random_carrier(rng, "y", 2, 8)
@@ -353,6 +354,7 @@ def test_noise_outsourcing():
         order = tuple(rng.permutation(y.elements))
         qf = quantile_pushback(f, order)
         worst = max(worst, pushforward_residual(qf, f))
+        composite = max(composite, outsourced_residual(qf, f))
         rank = {v: i for i, v in enumerate(order)}
         for row in range(len(qf.rows)):
             picks = [qf.value_at(row, float(r)) for r in np.linspace(1e-9, 1.0, 9)]
@@ -364,8 +366,8 @@ def test_noise_outsourcing():
             )
     _report(
         "noise-outsourcing",
-        worst <= 1e-12 and mono_ok,
-        f"kernels={trials} max-residual={worst:.3g}",
+        worst <= 1e-12 and composite <= 1e-12 and mono_ok,
+        f"kernels={trials} max-residual={worst:.3g} max-composite-residual={composite:.3g}",
     )
 
 

@@ -199,6 +199,18 @@ def test_a_refinement_equal_to_the_finer_partition_is_evaluated_once():
     assert residuals[2] == residuals[0] > 1e-6
 
 
+def test_a_refinement_equal_to_the_second_partition_is_evaluated_once():
+    # the refinement lists its cells as a, c, b, in the first partition's
+    # block order; it is the second partition's statement all the same
+    p = random_joint(np.random.default_rng(0), "abc", 2, 2)
+    coarse, fine = [["a", "c"], ["b"]], [["a"], ["b"], ["c"]]
+    assert common_refinement(coarse, fine) == [frozenset(b) for b in "acb"]
+    with mock.patch.object(ci, "mutual_ci_residual", wraps=ci.mutual_ci_residual) as spy:
+        residuals = check_partition_lemma(p, coarse, fine)
+    assert spy.call_count == 2
+    assert residuals[2] == residuals[1] > 1e-6
+
+
 def test_partition_with_conditioning_wires():
     rng = np.random.default_rng(41)
     j = latent_blocks_joint(rng, "z", [["a"], ["b"], ["c"]])

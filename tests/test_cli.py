@@ -20,6 +20,7 @@ from finstoch import (
     cs_check,
     default_timing,
     expand_ah_model,
+    kernel_from_json,
     kernel_to_json,
     make_model,
     model_to_json,
@@ -293,6 +294,50 @@ def test_check_ci_and_markov_verdicts_do_not_depend_on_the_wire_order(
         # the verdict word and check name of every line
         runs.append((codes, [line.split()[:2] for line in out.getvalue().splitlines()]))
     assert runs[0] == runs[1]
+
+
+def _agree_to_rounding(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal to a relative 1e-12, or to an absolute 1e-15 where below 1e-12."""
+    return bool((np.abs(a - b) <= np.maximum(1e-12 * np.maximum(np.abs(a), np.abs(b)), 1e-15)).all())
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1), perturb=hs.booleans())
+def test_factorize_and_check_exchangeable_do_not_depend_on_the_wire_order(
+    seed, perturb, tmp_path_factory
+):
+    rng = np.random.default_rng(seed)
+    m = random_dag_model(rng, max_boxes=5, max_wires=6)
+    p = recompose(m, random_assignment(rng, m))
+    rows, cols = [(2, 2), (2, 3), (3, 2)][int(rng.integers(3))]
+    grid = build_ah_joint(random_ahspec(rng, rows, cols, hi=2))
+    if perturb:
+        p, grid = perturbed(rng, p, eps=1e-3), perturbed(rng, grid, eps=1e-3)
+    directory = tmp_path_factory.mktemp("order")
+    model = write(directory, "model.json", model_to_json(m))
+    runs, kernels = [], []
+    for state, entries in ((p, grid), (_shuffled(rng, p), _shuffled(rng, grid))):
+        path = write(directory, "state.json", state_to_json(state))
+        grid_path = write(directory, "grid.json", state_to_json(entries))
+        asg_path = directory / "asg.json"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes = (
+                main(["factorize", path, model, "-o", str(asg_path)]),
+                main(["check-exchangeable", grid_path]),
+            )
+        # every line without its residual
+        runs.append((codes, [line.split(" residual=")[0] for line in out.getvalue().splitlines()]))
+        kernels.append(assignment_from_json(json.loads(asg_path.read_text())).kernels)
+    assert runs[0] == runs[1]
+    assert kernels[0].keys() == kernels[1].keys()
+    for box, k in kernels[0].items():
+        assert (k.dom, k.cod) == (kernels[1][box].dom, kernels[1][box].cod)
+        assert _agree_to_rounding(k.matrix, kernels[1][box].matrix), box
+
+
+def _shuffled(rng, p):
+    return reindex(p, [p.wire_names[i] for i in rng.permutation(len(p.wire_names))])
 
 
 def test_check_markov_nan_cell_is_an_input_error(tmp_path, capsys):
@@ -629,10 +674,20 @@ def test_noise_outsource_accepts_the_order_of_a_kernel_it_loaded(tmp_path, capsy
     row = [0.06537467485105562, 0.07330586453661281, 0.2733835035134288, 0.5879359580989026]
     k = {"dom": [], "cod": [{"label": "v", "elements": list("abcd")}], "rows": [row]}
     kf = write(tmp_path, "k.json", k)
-    code, out, err = run(capsys, ["noise-outsource", kf, "--order", "a,c,d,b"])
-    assert err == ""
-    assert out[0] == "PASS quantile-pushforward residual=1.11e-16"
-    assert out[1].split()[1] == "seed-mechanism-composite"
+    out_path = tmp_path / "parts.json"
+    for order in ("a,b,c,d", "a,c,d,b", "d,c,b,a"):
+        for extra in ([], ["-o", str(out_path)]):
+            code, out, err = run(capsys, ["noise-outsource", kf, "--order", order, *extra])
+            assert (code, err) == (0, "")
+            assert [line.split()[:2] for line in out] == [
+                ["PASS", "quantile-pushforward"],
+                ["PASS", "seed-mechanism-composite"],
+            ]
+    # the written seed is the staircase's cell lengths, not renormalised
+    seed, _ = outsourced_form(kernel_from_json(k), "dcba")
+    doc = json.loads(out_path.read_text())
+    assert doc["seed"] == json.loads(json.dumps(kernel_to_json(seed)))
+    assert sum(doc["seed"]["rows"][0]) == pytest.approx(1.000000001, abs=1e-15)
 
 
 def test_noise_outsource_builds_the_staircase_once(tmp_path, capsys, monkeypatch):
@@ -667,23 +722,71 @@ def test_noise_outsource_builds_the_staircase_once(tmp_path, capsys, monkeypatch
     assert doc["mechanism"] == json.loads(json.dumps(kernel_to_json(mech)))
 
 
-def test_noise_outsource_over_the_entry_cap_exits_2_before_the_mechanism(tmp_path, capsys):
-    # 200 dense rows of 8 values cut [0,1] into 200*7+1 seed cells, so the
-    # mechanism would have 280,200 rows of 8 entries, past MAX_ENTRIES
-    rng = np.random.default_rng(30)
-    f = random_kernel(rng, carrier("a", 200), carrier("y", 8))
-    kf = write(tmp_path, "dense.json", kernel_to_json(f))
-    mech_bytes = 280_200 * 8 * 8
+def _traced_run(capsys, argv):
     tracemalloc.start()
     try:
-        code, out, err = run(capsys, ["noise-outsource", kf])
+        code, out, err = run(capsys, argv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return code, out, err, peak
+
+
+def test_noise_outsource_checks_a_kernel_whose_mechanism_is_past_the_cap(tmp_path, capsys):
+    # the check reads the seed's cells for each input: 200 inputs by 1,405
+    # cells, without the mechanism's 8 columns for each of them
+    rng = np.random.default_rng(30)
+    f = random_kernel(rng, carrier("a", 200), carrier("y", 8))
+    kf = write(tmp_path, "dense.json", kernel_to_json(f))
+    code, out, err = run(capsys, ["noise-outsource", kf])
+    assert (code, err) == (0, "")
+    assert [line.split()[:2] for line in out] == [
+        ["PASS", "quantile-pushforward"],
+        ["PASS", "seed-mechanism-composite"],
+    ]
+
+
+def test_noise_outsource_over_the_entry_cap_exits_2_before_the_mechanism(tmp_path, capsys):
+    # 200 dense rows of 8 values cut [0,1] into about 200*7+1 seed cells, so
+    # the mechanism -o writes would have 281,000 rows of 8 entries, past MAX_ENTRIES
+    rng = np.random.default_rng(30)
+    f = random_kernel(rng, carrier("a", 200), carrier("y", 8))
+    kf = write(tmp_path, "dense.json", kernel_to_json(f))
+    out_path = tmp_path / "parts.json"
+    mech_bytes = 280_200 * 8 * 8
+    code, out, err, peak = _traced_run(capsys, ["noise-outsource", kf, "-o", str(out_path)])
     assert code == 2
     assert out == []
     assert "dense.json" in err
+    assert not out_path.exists()
     assert peak < mech_bytes / 8
+
+
+def test_noise_outsource_over_the_entry_cap_exits_2_before_the_cell_table(tmp_path, capsys):
+    # two values a row, all rows cut apart: 1,104 seed cells for each of
+    # 1,100 inputs, a table of 1,214,400 entries, past MAX_ENTRIES
+    f = random_kernel(np.random.default_rng(31), carrier("a", 1100), carrier("y", 2))
+    kf = write(tmp_path, "tall.json", kernel_to_json(f))
+    table_bytes = 1_214_400 * 8
+    code, out, err, peak = _traced_run(capsys, ["noise-outsource", kf])
+    assert code == 2
+    assert out == []
+    assert "tall.json" in err and "1214400 entries" in err
+    assert peak < table_bytes / 8
+
+
+def test_noise_outsource_fails_rows_whose_masses_one_seed_cannot_carry(tmp_path, capsys):
+    # both rows load, but their masses differ by 1.8e-9; one seed is shared
+    # by every input, so the lighter row receives the heavier row's last cell
+    k = {
+        "dom": [{"label": "x", "elements": ["0", "1"]}],
+        "cod": [{"label": "v", "elements": ["0", "1"]}],
+        "rows": [[0.5, 0.5000000009], [0.5, 0.4999999991]],
+    }
+    code, out, err = run(capsys, ["noise-outsource", write(tmp_path, "k.json", k)])
+    assert (code, err) == (1, "")
+    assert out[0].startswith("PASS quantile-pushforward")
+    assert out[1] == "FAIL seed-mechanism-composite residual=1.8e-09"
 
 
 def test_noise_outsource_rejects_booleans_among_numeric_rows(tmp_path, capsys):

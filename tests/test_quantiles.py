@@ -201,12 +201,33 @@ def test_outsourced_mechanism_is_value_at_on_every_seed_cell():
 def test_outsourced_residual_sees_one_corrupted_row():
     rng = np.random.default_rng(6)
     f = random_kernel(rng, (carrier("a", 3), carrier("b", 2)), carrier("y", 4), zero_frac=0.2)
-    seed, mech = outsourced_form(f, ("0", "1", "2", "3"))
-    dense = compose(mech, tensor(seed, identity(f.dom)))
-    assert outsourced_residual(f, seed, mech) <= 1e-12
-    assert outsourced_residual(f, seed, mech) == pytest.approx(max_abs_diff(dense, f), abs=1e-15)
-    rows = mech.matrix.copy()
+    qf = quantile_pushback(f, ("0", "1", "2", "3"))
+    assert outsourced_residual(qf, f) <= 1e-12
+    rows = f.matrix.copy()
     rows[4] = np.roll(rows[4], 1)
-    assert outsourced_residual(f, seed, Kernel(mech.dom, mech.cod, rows)) > 1e-6
+    assert outsourced_residual(qf, Kernel(f.dom, f.cod, rows)) > 1e-6
     with pytest.raises(DomainMismatch):
-        outsourced_residual(f, seed, identity(mech.dom))
+        outsourced_residual(qf, random_kernel(rng, carrier("a", 6), carrier("y", 4)))
+
+
+def test_outsourced_residual_is_the_composite_of_outsourced_form():
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        dom = tuple(random_carrier(rng, l, 1, 4) for l in "ab"[: rng.integers(1, 3)])
+        y = random_carrier(rng, "y", 2, 6)
+        f = random_kernel(rng, dom, y, zero_frac=0.3)
+        order = list(rng.permutation(y.elements))
+        seed, mech = outsourced_form(f, order)
+        dense = max_abs_diff(compose(mech, tensor(seed, identity(f.dom))), f)
+        r = outsourced_residual(quantile_pushback(f, order), f)
+        assert r == pytest.approx(dense, abs=1e-15)
+
+
+def test_one_seed_cannot_carry_two_row_masses():
+    # each row loads, but their masses differ by 1.8e-9: the seed's last cell
+    # carries row 0's excess, and row 1's last value receives it too
+    f = Kernel((BIT,), (BIT,), [[0.5, 0.5000000009], [0.5, 0.4999999991]])
+    seed, _ = outsourced_form(f, ("0", "1"))
+    assert seed.matrix[0].sum() == pytest.approx(1.0000000009, abs=1e-15)
+    r = outsourced_residual(quantile_pushback(f, ("0", "1")), f)
+    assert r == pytest.approx(1.8e-9, rel=1e-6)
