@@ -323,6 +323,7 @@ def _cmd_noise_outsource(args) -> list[CheckLine]:
         qf = quantile_pushback(f, order)
         if args.output:  # first, so that a map past the entry cap exits before the check
             seed, mech = _outsourced(qf)
+            kernel_from_json(kernel_to_json(seed), _load_atol(), "seed")  # write only what loads
         r1, r2 = pushforward_residual(qf, f), outsourced_residual(qf, f)
     if args.output:
         _write_json(

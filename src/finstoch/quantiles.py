@@ -136,11 +136,10 @@ def outsourced_form(f: Kernel, order: Sequence[str]) -> tuple[Kernel, Kernel]:
     return _outsourced(quantile_pushback(f, order))
 
 
-def _cells(qf: QuantileFunction, width: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """The seed's cell masses, and each input's value index for every cell; the
-    entry cap is checked for ``width`` entries per table entry before it is built."""
+def _cells(qf: QuantileFunction) -> tuple[np.ndarray, np.ndarray]:
+    """The seed's cell masses, and each input's value index on every cell, under the entry cap."""
     uppers = sorted({bp.upper for row in qf.rows for bp in row})
-    _check_entries(len(qf.rows) * len(uppers) * width)
+    _check_entries(len(qf.rows) * len(uppers))
     table = np.empty((len(qf.rows), len(uppers)), dtype=np.intp)
     for x, row in enumerate(qf.rows):  # value_at on every cell, one searchsorted per input
         k = np.minimum(np.searchsorted([bp.upper for bp in row], uppers), len(row) - 1)
@@ -150,10 +149,10 @@ def _cells(qf: QuantileFunction, width: int = 1) -> tuple[np.ndarray, np.ndarray
 
 def _outsourced(qf: QuantileFunction) -> tuple[Kernel, Kernel]:
     """outsourced_form's seed, whose masses are the cell lengths, and its map on (cell, input)."""
-    masses, table = _cells(qf, qf.cod.size)  # the map's cap, before its table
+    masses = np.diff([0.0, *sorted({bp.upper for row in qf.rows for bp in row})])
     cells = FinSet("U", tuple(f"u{k}" for k in range(1, len(masses) + 1)))
     seed = Kernel((), (cells,), masses[None], _final_breakpoint_slack(len(masses)))
-    return seed, _point_masses((cells,) + qf.dom, (qf.cod,), lambda _: table.T.ravel())
+    return seed, _point_masses((cells,) + qf.dom, (qf.cod,), lambda _: _cells(qf)[1].T.ravel())
 
 
 def outsourced_residual(qf: QuantileFunction, f: Kernel) -> float:

@@ -211,6 +211,17 @@ def test_a_refinement_equal_to_the_second_partition_is_evaluated_once():
     assert residuals[2] == residuals[1] > 1e-6
 
 
+def test_a_statement_is_evaluated_with_its_parts_in_the_state_wire_order():
+    # b ⊥ a | c and a ⊥ b | c are one statement, but their residuals differ in
+    # the last bit here; the statement table evaluates the order fixed by p
+    p = random_joint(np.random.default_rng(4), "abc", 2, 3)
+    in_order = mutual_ci_residual(p, [["a"], ["b"]], ["c"])
+    assert mutual_ci_residual(p, [["b"], ["a"]], ["c"]) != in_order
+    for parts in ([["b"], ["a"]], [["a"], ["b"]]):
+        assert ci._worst_residuals(p, [[(parts, ["c"])]]) == [in_order]
+        assert check_partition_lemma(p, parts, parts, ["c"]) == (in_order,) * 3
+
+
 def test_partition_with_conditioning_wires():
     rng = np.random.default_rng(41)
     j = latent_blocks_joint(rng, "z", [["a"], ["b"], ["c"]])

@@ -670,24 +670,36 @@ def test_noise_outsource_under_a_zero_atol_reports_the_kernel_it_loaded(
 
 def test_noise_outsource_accepts_the_order_of_a_kernel_it_loaded(tmp_path, capsys):
     # the row sums to 1.0000000009999999, so it loads; its cumulative sum
-    # in this order ends at 1.000000001, an ulp past DEFAULT_ATOL
+    # in order a,c,d,b ends at 1.000000001, an ulp past DEFAULT_ATOL
     row = [0.06537467485105562, 0.07330586453661281, 0.2733835035134288, 0.5879359580989026]
     k = {"dom": [], "cod": [{"label": "v", "elements": list("abcd")}], "rows": [row]}
     kf = write(tmp_path, "k.json", k)
-    out_path = tmp_path / "parts.json"
-    for order in ("a,b,c,d", "a,c,d,b", "d,c,b,a"):
-        for extra in ([], ["-o", str(out_path)]):
-            code, out, err = run(capsys, ["noise-outsource", kf, "--order", order, *extra])
-            assert (code, err) == (0, "")
-            assert [line.split()[:2] for line in out] == [
-                ["PASS", "quantile-pushforward"],
-                ["PASS", "seed-mechanism-composite"],
-            ]
-    # the written seed is the staircase's cell lengths, not renormalised
-    seed, _ = outsourced_form(kernel_from_json(k), "dcba")
-    doc = json.loads(out_path.read_text())
-    assert doc["seed"] == json.loads(json.dumps(kernel_to_json(seed)))
-    assert sum(doc["seed"]["rows"][0]) == pytest.approx(1.000000001, abs=1e-15)
+    residuals = {"a,b,c,d": "1.11e-16", "a,c,d,b": "1.11e-16", "d,c,b,a": "5.55e-17"}
+    for order, r in residuals.items():
+        lines = [
+            f"PASS quantile-pushforward residual={r}",
+            f"PASS seed-mechanism-composite residual={r}",
+        ]
+        assert run(capsys, ["noise-outsource", kf, "--order", order]) == (0, lines, "")
+        if order == "a,c,d,b":
+            continue
+        # -o writes the staircase's cell lengths, not renormalised, as a seed that loads back
+        out_path = tmp_path / f"{order}.json"
+        argv = ["noise-outsource", kf, "--order", order, "-o", str(out_path)]
+        assert run(capsys, argv) == (0, lines, "")
+        seed, _ = outsourced_form(kernel_from_json(k), order.split(","))
+        doc = json.loads(out_path.read_text())
+        assert doc["seed"] == json.loads(json.dumps(kernel_to_json(seed)))
+        assert kernel_from_json(doc["seed"]).matrix.tolist() == doc["seed"]["rows"]
+    # in a,c,d,b the cells sum to 1.000000001, past the 1e-9 a kernel file is
+    # read at, so -o names the kernel and writes nothing
+    seed, _ = outsourced_form(kernel_from_json(k), "acdb")
+    assert seed.matrix.sum() == pytest.approx(1.000000001, abs=1e-15)
+    out_path = tmp_path / "a,c,d,b.json"
+    code, out, err = run(capsys, ["noise-outsource", kf, "--order", "a,c,d,b", "-o", str(out_path)])
+    assert (code, out) == (2, [])
+    assert err == f"error: {kf}: seed.rows: row sums deviate from 1 by up to 1e-09 (atol=1e-09)\n"
+    assert not out_path.exists()
 
 
 def test_noise_outsource_builds_the_staircase_once(tmp_path, capsys, monkeypatch):

@@ -33,6 +33,7 @@ from finstoch import (
     marginalize,
     markov_residuals,
     max_abs_diff,
+    mutual_ci_residual,
     ordered_markov_residual,
     recompose,
     reindex,
@@ -46,6 +47,7 @@ from support import (
     random_ahspec,
     random_assignment,
     random_dag_model,
+    random_joint,
     random_kernel,
     random_state,
     relaid_out,
@@ -410,6 +412,19 @@ def test_markov_residuals_evaluate_a_shared_statement_once(n, separate, together
         spy.reset_mock()
         assert markov_residuals(p, m) == residuals
         assert spy.call_count == together
+
+
+@pytest.mark.parametrize("first", ["fa", "fb"])
+def test_a_markov_statement_is_evaluated_with_its_parts_in_the_state_wire_order(first):
+    # fa and fb each screen their output off the other given c, so one of them
+    # lists a ⊥ b | c against the state's wire order; on this joint the two
+    # orders differ in the last bit, and both residuals take the state's
+    p = random_joint(np.random.default_rng(4), "abc", 2, 3)
+    boxes = {"fa": Box("fa", ("c",), ("a",)), "fb": Box("fb", ("c",), ("b",))}
+    m = make_model([Box("fc", (), ("c",)), *sorted(boxes.values(), key=lambda b: b.name != first)])
+    in_order = mutual_ci_residual(p, [["a"], ["b"]], ["c"])
+    assert mutual_ci_residual(p, [["b"], ["a"]], ["c"]) != in_order
+    assert markov_residuals(p, m) == (in_order, in_order)
 
 
 def _agree(r: float, s: float) -> bool:
