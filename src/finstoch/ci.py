@@ -6,10 +6,14 @@ raw (X_1..X_k, W) marginal of the state: the residual is the largest
 the largest part X_b kept as a joint marginal.  A conditioning cell has
 zero mass when p(w) is exactly 0; its conditionals are uniform and its
 recomposition is exactly 0, so the comparison is exact on support.  A
-statement validates nothing.  Summing out the wires it does not name
-takes one gathering copy the size of the state; the residual itself
-allocates at most three arrays the size of the marginal.  A check made
-of several statements reads them from one table, computing each once.
+statement validates nothing.  A statement writes into a scratch of
+three flat buffers the size of the state: the gathering copy that
+brings the wires it names into order, the reduce that sums out the
+others, and p(x_b, w); the recomposition goes into whichever of the
+first two does not hold the marginal.  A check made of several
+statements reads them from one table, which computes each once and
+allocates one scratch for all of them, so no statement asks the
+allocator for fresh pages.
 """
 
 from __future__ import annotations
@@ -39,14 +43,25 @@ def _as_groups(p: JointState, groups: Sequence[WireGroup], given: WireGroup):
     return [[w for w in p.wire_names if w in g] for g in sets]
 
 
+def _scratch(p: JointState) -> list[np.ndarray]:
+    """Three flat float buffers the size of p, allocated without being written."""
+    return [np.empty(p.array.size) for _ in range(3)]
+
+
 def mutual_ci_residual(
-    p: JointState, parts: Sequence[WireGroup], given: WireGroup = ()
+    p: JointState,
+    parts: Sequence[WireGroup],
+    given: WireGroup = (),
+    scratch: Sequence[np.ndarray] | None = None,
 ) -> float:
     """Largest deviation from the joint factorization of parts given ``given``.
 
     Wires outside the parts and the conditioning set are marginalized
     first.  With two parts this is the usual binary conditional
-    independence residual.
+    independence residual.  ``scratch`` is three flat float buffers of at
+    least p's size, which the statement overwrites; a statement table
+    passes one scratch to all its statements, and by default the call
+    makes its own.
     """
     groups = _as_groups(p, parts, given)  # the parts, then the given wires
     k = len(groups) - 1
@@ -54,18 +69,26 @@ def mutual_ci_residual(
     order = sorted(range(k + 1), key=sizes.__getitem__)  # largest group innermost
     axis = [order.index(j) for j in range(k + 1)]
     flat = [w for j in order for w in groups[j]]
-    arr = _marginal(p.array, p.wire_names, flat).reshape([sizes[j] for j in order])
+    gather, reduced, third = _scratch(p) if scratch is None else scratch
+    arr = _marginal(p.array, p.wire_names, flat, gather, reduced)
+    arr = arr.reshape([sizes[j] for j in order])
     big = max(range(k), key=sizes.__getitem__, default=k)
 
-    def part(i: int) -> np.ndarray:  # p(x_i, w), broadcastable against arr
-        return arr.sum(axis=tuple(axis[j] for j in range(k) if j != i), keepdims=True)
+    def part(i: int, out=None) -> np.ndarray:  # p(x_i, w), broadcastable against arr
+        summed = tuple(axis[j] for j in range(k) if j != i)
+        return np.add.reduce(arr, axis=summed, keepdims=True, out=out)
 
-    recomposed = part(big)
+    kept = [sizes[j] if j in (big, k) else 1 for j in order]
+    joint_b = part(big, third[: math.prod(kept)].reshape(kept))  # p(x_b, w)
     # zero mass: where p(w) is exactly 0 the recomposition is exactly 0
-    np.copyto(recomposed, 0.0, where=recomposed.sum(axis=axis[big], keepdims=True) == 0.0)
+    np.copyto(joint_b, 0.0, where=joint_b.sum(axis=axis[big], keepdims=True) == 0.0)
+    # the marginal is the gathered copy when it sums nothing; recompose in the other buffer
+    free = reduced if len(flat) == len(p.wire_names) else gather
+    recomposed = free[: arr.size].reshape(arr.shape)
+    np.copyto(recomposed, joint_b)
     for i in range(k):
         if i != big and sizes[i] > 1:  # a one-element part's conditional is 1
-            recomposed = recomposed * _normalize(part(i), axis=axis[i])
+            recomposed *= _normalize(part(i), axis=axis[i])
     recomposed -= arr
     return float(np.abs(recomposed, out=recomposed).max())
 
@@ -84,7 +107,10 @@ def _worst_residuals(p: JointState, families: Iterable[Iterable[tuple]]) -> list
     parts ordered by their first wire in p, so its bits do not depend on how it is listed.
     """
     first = lambda part: min(map(p.wire_index, part))
-    table = functools.cache(lambda ps, g: mutual_ci_residual(p, sorted(ps, key=first), g))
+    scratch = _scratch(p)  # every statement overwrites the same three buffers
+    table = functools.cache(
+        lambda ps, g: mutual_ci_residual(p, sorted(ps, key=first), g, scratch)
+    )
     return [
         max((table(frozenset(map(frozenset, ps)), frozenset(g)) for ps, g in family), default=0.0)
         for family in families

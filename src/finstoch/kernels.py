@@ -376,18 +376,34 @@ class JointState:
         return [self.wire_index(w) for w in wires]
 
 
-def _marginal(arr: np.ndarray, names: Sequence[str], wires: Sequence[str]) -> np.ndarray:
+def _marginal(
+    arr: np.ndarray,
+    names: Sequence[str],
+    wires: Sequence[str],
+    gather: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Raw marginal of ``arr`` (one axis per name) on ``wires``, in their order, C-contiguous.
 
-    One gathering copy moves the summed axes first and the wanted wires
-    after them, in order; one sequential reduce over the summed block then
-    leaves the result C-contiguous.
+    One gathering copy into ``gather`` moves the summed axes first and the
+    wanted wires after them, in order; one sequential reduce over the summed
+    block into ``out`` then leaves the result C-contiguous.  The marginal is
+    the gathered copy itself when nothing is summed.  ``gather`` and ``out``
+    are flat float buffers of at least ``arr.size`` entries that a statement
+    table reuses for every statement; by default both are fresh arrays that
+    the caller owns.
     """
     drop = [i for i, w in enumerate(names) if w not in wires]
     keep = [names.index(w) for w in wires]
     shape = [arr.shape[i] for i in keep]
-    t = np.ascontiguousarray(arr.transpose(drop + keep)).reshape(-1, math.prod(shape))
-    return (np.add.reduce(t, axis=0) if drop else t).reshape(shape)
+    n = math.prod(shape)
+    src = arr.transpose(drop + keep)
+    t = (np.empty(arr.size) if gather is None else gather[: arr.size]).reshape(src.shape)
+    np.copyto(t, src)
+    t = t.reshape(-1, n)
+    if drop:
+        t = np.add.reduce(t, axis=0, out=np.empty(n) if out is None else out[:n])
+    return t.reshape(shape)
 
 
 def marginalize(p: JointState, keep: Iterable[str]) -> JointState:

@@ -318,3 +318,38 @@ def test_zero_mass_cell_with_cancelling_entries_recomposes_to_zero():
         want = _loop_mutual_residual(p, parts, ["w"])
         assert want == pytest.approx(eps, abs=1e-17)
         assert got == pytest.approx(want, abs=1e-14)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    sizes=hs.lists(hs.integers(2, 3), min_size=3, max_size=5),
+    data=hs.data(),
+    seed=hs.integers(0, 2**32 - 1),
+)
+def test_a_statement_table_leaves_no_stale_entries_in_its_scratch(sizes, data, seed):
+    # every statement of a table writes into the same three buffers; run from
+    # the largest statement down and back up, each residual must still be the
+    # bits of the statement evaluated alone
+    v = [f"v{i}" for i in range(len(sizes))]
+    order = data.draw(hs.permutations([*v, "u", "w"]))  # u has one element
+    size = dict(zip(v, sizes), u=1, w=3)
+    rng = np.random.default_rng(seed)
+    arr = random_rows(rng, 1, math.prod(size.values()), 0.2)[0].reshape([size[x] for x in order])
+    arr[tuple(0 if x == "w" else slice(None) for x in order)] = 0.0  # p(w=0) is exactly 0
+    p = JointState.from_array(arr / arr.sum(), [(x, carrier(x, size[x])) for x in order])
+    statements = [
+        ([v[:1], v[1:] + ["u"]], ["w"]),  # every wire kept
+        ([v[:1], v[1:2], v[2:] + ["u"]], ["w"]),  # every wire kept, three parts
+        ([v[:1], v[1:2]], ["w"]),  # summed
+        ([["u"], v[:2]], ["w"]),  # a one-element part
+        ([v[:1], ["u"], v[2:]], []),  # a one-element part among three, summed
+        ([v[1:2], v[2:3]], []),  # summed down to two wires
+        ([v[:1], v[1:2], v[2:3]], v[3:]),  # three parts, given what is left
+    ]
+    first = lambda part: min(map(p.wire_index, part))
+    marginal = lambda s: math.prod(size[x] for x in [*sum(s[0], []), *s[1]])
+    for reverse in (True, False):
+        table = sorted(statements, key=marginal, reverse=reverse)
+        got = ci._worst_residuals(p, [[s] for s in table])
+        want = [mutual_ci_residual(p, sorted(parts, key=first), g) for parts, g in table]
+        assert [r.hex() for r in got] == [r.hex() for r in want]

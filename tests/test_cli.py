@@ -12,17 +12,21 @@ from hypothesis import strategies as hs
 
 from finstoch import (
     Box,
+    FinSet,
+    JointState,
     Kernel,
     SizeLimit,
     ahspec_to_json,
     assignment_from_json,
     build_ah_joint,
+    ci_residual,
     cs_check,
     default_timing,
     expand_ah_model,
     kernel_from_json,
     kernel_to_json,
     make_model,
+    markov_residuals,
     model_to_json,
     outsourced_form,
     quantile_from_json,
@@ -294,6 +298,44 @@ def test_check_ci_and_markov_verdicts_do_not_depend_on_the_wire_order(
         # the verdict word and check name of every line
         runs.append((codes, [line.split()[:2] for line in out.getvalue().splitlines()]))
     assert runs[0] == runs[1]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1), perturb=hs.booleans())
+def test_check_ci_and_markov_do_not_depend_on_the_order_of_a_carrier(
+    seed, perturb, tmp_path_factory
+):
+    # one wire's elements are listed in another order, and its array axis
+    # is permuted with them: the same state, so the same verdicts
+    rng = np.random.default_rng(seed)
+    m = random_dag_model(rng, max_boxes=5, max_wires=6)
+    p = recompose(m, random_assignment(rng, m, zero_frac=0.3))
+    if perturb:
+        p = perturbed(rng, p, eps=1e-3)
+    wires = list(p.wire_names)
+    i = int(rng.integers(len(wires)))
+    elements = p.carrier(wires[i]).elements
+    perm = rng.permutation(len(elements))
+    relabelled = JointState.from_array(
+        np.take(p.array, perm, axis=i),
+        [(w, FinSet(c.label, [elements[j] for j in perm]) if w == wires[i] else c)
+         for w, c in zip(wires, p.kernel.cod)],
+    )
+    x, y, *given = (wires[j] for j in rng.permutation(len(wires))[: int(rng.integers(2, 5))])
+    ci_flags = ["--x", x, "--y", y] + (["--given", ",".join(given)] if given else [])
+    directory = tmp_path_factory.mktemp("carrier")
+    model = write(directory, "model.json", model_to_json(m))
+    runs, residuals = [], []
+    for state in (p, relabelled):
+        path = write(directory, "state.json", state_to_json(state))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes = main(["check-ci", path, *ci_flags]), main(["check-markov", path, model])
+        # every line without its residual
+        runs.append((codes, [line.split(" residual=")[0] for line in out.getvalue().splitlines()]))
+        residuals.append([ci_residual(state, [x], [y], given), *markov_residuals(state, m)])
+    assert runs[0] == runs[1]
+    assert _agree_to_rounding(np.array(residuals[0]), np.array(residuals[1])), residuals
 
 
 def _agree_to_rounding(a: np.ndarray, b: np.ndarray) -> bool:

@@ -414,6 +414,22 @@ def test_markov_residuals_evaluate_a_shared_statement_once(n, separate, together
         assert spy.call_count == together
 
 
+def test_a_statement_table_allocates_three_state_sized_buffers():
+    # the 21 statements on the exposed binary 3x3 grid share one scratch of
+    # three buffers (3.0 states), and a broadcasting multiply takes numpy's
+    # 8192-entry ufunc buffer (0.125); a fourth state-sized array passes 3.25
+    m = expand_ah_model(3)
+    p = build_ah_joint(random_ahspec(np.random.default_rng(3), 3, hi=2), expose_latents=True)
+    assert p.array.size == 2**16
+    tracemalloc.start()
+    try:
+        markov_residuals(p, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * p.array.nbytes
+
+
 @pytest.mark.parametrize("first", ["fa", "fb"])
 def test_a_markov_statement_is_evaluated_with_its_parts_in_the_state_wire_order(first):
     # fa and fb each screen their output off the other given c, so one of them
