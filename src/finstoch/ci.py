@@ -8,9 +8,9 @@ zero mass when p(w) is exactly 0; its conditionals are uniform and its
 recomposition is exactly 0, so the comparison is exact on support.  A
 statement validates nothing.  A statement writes into a scratch of
 three flat buffers the size of the state: the gathering copy that
-brings the wires it names into order, the reduce that sums out the
-others, and p(x_b, w); the recomposition goes into whichever of the
-first two does not hold the marginal.  A check made of several
+brings the wires it names into order, the marginal that sums out the
+others, and p(x_b, w); the recomposition then overwrites the gathering
+copy.  A check made of several
 statements reads them from one table, which computes each once and
 allocates one scratch for all of them, so no statement asks the
 allocator for fresh pages.
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotAPartition, WireOverlap
+from .errors import NotAPartition, ShapeMismatch, WireOverlap
 from .kernels import JointState, _marginal, _normalize
 
 WireGroup = Iterable[str]
@@ -48,20 +48,35 @@ def _scratch(p: JointState) -> list[np.ndarray]:
     return [np.empty(p.array.size) for _ in range(3)]
 
 
+def _check_scratch(p: JointState, scratch: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
+    """Refuse a scratch a statement could not write without corrupting its own entries."""
+    if len(scratch) != 3:
+        raise ShapeMismatch(f"scratch has {len(scratch)} buffers, not 3")
+    for b in scratch:
+        if b.dtype != np.float64 or b.ndim != 1 or not b.flags.c_contiguous or not b.flags.writeable:
+            raise ShapeMismatch("scratch buffers must be flat, writeable, C-contiguous float64")
+        if b.size < p.array.size:
+            raise ShapeMismatch(f"scratch buffer has {b.size} entries, the state {p.array.size}")
+    if any(np.shares_memory(a, b) for i, a in enumerate(scratch) for b in scratch[i + 1 :]):
+        raise ShapeMismatch("scratch buffers overlap")
+    return scratch
+
+
 def mutual_ci_residual(
     p: JointState,
     parts: Sequence[WireGroup],
     given: WireGroup = (),
+    *,
     scratch: Sequence[np.ndarray] | None = None,
 ) -> float:
     """Largest deviation from the joint factorization of parts given ``given``.
 
     Wires outside the parts and the conditioning set are marginalized
     first.  With two parts this is the usual binary conditional
-    independence residual.  ``scratch`` is three flat float buffers of at
-    least p's size, which the statement overwrites; a statement table
-    passes one scratch to all its statements, and by default the call
-    makes its own.
+    independence residual.  ``scratch`` is internal: the statement table
+    of ``_worst_residuals`` passes its three buffers to every statement.
+    By default the call makes its own; a scratch that is not three
+    disjoint, flat float64 buffers of at least p's size is refused.
     """
     groups = _as_groups(p, parts, given)  # the parts, then the given wires
     k = len(groups) - 1
@@ -69,8 +84,8 @@ def mutual_ci_residual(
     order = sorted(range(k + 1), key=sizes.__getitem__)  # largest group innermost
     axis = [order.index(j) for j in range(k + 1)]
     flat = [w for j in order for w in groups[j]]
-    gather, reduced, third = _scratch(p) if scratch is None else scratch
-    arr = _marginal(p.array, p.wire_names, flat, gather, reduced)
+    gather, marginal, third = _check_scratch(p, _scratch(p) if scratch is None else scratch)
+    arr = _marginal(p.array, p.wire_names, flat, gather, marginal)
     arr = arr.reshape([sizes[j] for j in order])
     big = max(range(k), key=sizes.__getitem__, default=k)
 
@@ -82,9 +97,7 @@ def mutual_ci_residual(
     joint_b = part(big, third[: math.prod(kept)].reshape(kept))  # p(x_b, w)
     # zero mass: where p(w) is exactly 0 the recomposition is exactly 0
     np.copyto(joint_b, 0.0, where=joint_b.sum(axis=axis[big], keepdims=True) == 0.0)
-    # the marginal is the gathered copy when it sums nothing; recompose in the other buffer
-    free = reduced if len(flat) == len(p.wire_names) else gather
-    recomposed = free[: arr.size].reshape(arr.shape)
+    recomposed = gather[: arr.size].reshape(arr.shape)
     np.copyto(recomposed, joint_b)
     for i in range(k):
         if i != big and sizes[i] > 1:  # a one-element part's conditional is 1
@@ -109,7 +122,7 @@ def _worst_residuals(p: JointState, families: Iterable[Iterable[tuple]]) -> list
     first = lambda part: min(map(p.wire_index, part))
     scratch = _scratch(p)  # every statement overwrites the same three buffers
     table = functools.cache(
-        lambda ps, g: mutual_ci_residual(p, sorted(ps, key=first), g, scratch)
+        lambda ps, g: mutual_ci_residual(p, sorted(ps, key=first), g, scratch=scratch)
     )
     return [
         max((table(frozenset(map(frozenset, ps)), frozenset(g)) for ps, g in family), default=0.0)

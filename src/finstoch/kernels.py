@@ -385,25 +385,28 @@ def _marginal(
 ) -> np.ndarray:
     """Raw marginal of ``arr`` (one axis per name) on ``wires``, in their order, C-contiguous.
 
-    One gathering copy into ``gather`` moves the summed axes first and the
-    wanted wires after them, in order; one sequential reduce over the summed
-    block into ``out`` then leaves the result C-contiguous.  The marginal is
-    the gathered copy itself when nothing is summed.  ``gather`` and ``out``
-    are flat float buffers of at least ``arr.size`` entries that a statement
-    table reuses for every statement; by default both are fresh arrays that
-    the caller owns.
+    The marginal is written to ``out``.  When axes are summed, one gathering
+    copy into ``gather`` moves them first and the wanted wires after them,
+    in order, and one sequential reduce over the summed block into ``out``
+    leaves the result C-contiguous; when nothing is summed the gathering
+    copy goes straight into ``out`` and ``gather`` is not written.
+    ``gather`` and ``out`` are flat float buffers of at least ``arr.size``
+    entries that a statement table reuses for every statement; by default
+    both are fresh arrays that the caller owns.
     """
     drop = [i for i, w in enumerate(names) if w not in wires]
     keep = [names.index(w) for w in wires]
     shape = [arr.shape[i] for i in keep]
     n = math.prod(shape)
     src = arr.transpose(drop + keep)
-    t = (np.empty(arr.size) if gather is None else gather[: arr.size]).reshape(src.shape)
-    np.copyto(t, src)
-    t = t.reshape(-1, n)
+    out = np.empty(n) if out is None else out[:n]
     if drop:
-        t = np.add.reduce(t, axis=0, out=np.empty(n) if out is None else out[:n])
-    return t.reshape(shape)
+        t = (np.empty(arr.size) if gather is None else gather[: arr.size]).reshape(src.shape)
+        np.copyto(t, src)
+        np.add.reduce(t.reshape(-1, n), axis=0, out=out)
+    else:
+        np.copyto(out.reshape(shape), src)
+    return out.reshape(shape)
 
 
 def marginalize(p: JointState, keep: Iterable[str]) -> JointState:

@@ -1,14 +1,14 @@
 """tools/bench_compare.py pairs runs, flips their order and counts wins."""
 
-import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("bench_compare", ROOT / "tools" / "bench_compare.py")
-bench_compare = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_compare)
+sys.path.insert(0, str(ROOT / "tools"))
+import bench_compare  # noqa: E402
 
 TREES = {"base": Path("base-tree"), "change": Path("change-tree")}
 
@@ -20,8 +20,8 @@ class FakeRunner:
         self.calls = []
         self.slower_pairs = set(slower_pairs)
 
-    def __call__(self, tree, workload, seed, seconds):
-        self.calls.append((tree.name, workload, seed, seconds))
+    def __call__(self, tree, workload, seed):
+        self.calls.append((tree.name, workload, seed))
         pair = (len(self.calls) - 1) // 2
         p50 = 60.0 + pair % 3  # base quartiles 60-62
         if tree == TREES["change"]:
@@ -37,11 +37,11 @@ class FakeRunner:
 
 def test_pairs_alternate_which_tree_runs_first_and_cycle_the_seeds():
     runner = FakeRunner()
-    out = bench_compare.compare(TREES, ["grid"], [1, 17], 4, 15, runner)
+    out = bench_compare.compare(TREES, ["grid"], [1, 17], 4, runner)
     trees = [c[0] for c in runner.calls]
     assert trees == ["base-tree", "change-tree", "change-tree", "base-tree"] * 2
     assert [c[2] for c in runner.calls] == [1, 1, 17, 17, 1, 1, 17, 17]
-    assert {(c[1], c[3]) for c in runner.calls} == {("grid", 15)}
+    assert {c[1] for c in runner.calls} == {"grid"}
     pairs = out["grid"]["pairs"]
     assert [p["seed"] for p in pairs] == [1, 17, 1, 17]
     assert [p["first"] for p in pairs] == ["base", "change", "base", "change"]
@@ -49,7 +49,7 @@ def test_pairs_alternate_which_tree_runs_first_and_cycle_the_seeds():
 
 
 def test_wins_follow_each_metrics_direction():
-    out = bench_compare.compare(TREES, ["grid"], [1], 10, 15, FakeRunner(slower_pairs={3}))
+    out = bench_compare.compare(TREES, ["grid"], [1], 10, FakeRunner(slower_pairs={3}))
     metrics = out["grid"]["metrics"]
     assert metrics["job_p50_ms"]["wins"] == 9  # lower is better
     assert metrics["jobs_per_s"]["wins"] == 9  # higher is better
@@ -62,15 +62,21 @@ def test_wins_follow_each_metrics_direction():
 
 
 def test_eight_wins_in_ten_is_no_gain():
-    out = bench_compare.compare(TREES, ["grid"], [1], 10, 15, FakeRunner(slower_pairs={3, 7}))
+    out = bench_compare.compare(TREES, ["grid"], [1], 10, FakeRunner(slower_pairs={3, 7}))
     assert out["grid"]["metrics"]["job_p50_ms"]["wins"] == 8
     assert not out["grid"]["metrics"]["job_p50_ms"]["gain"]
 
 
 def test_a_run_that_fails_its_oracle_check_writes_nothing():
-    def failing(tree, workload, seed, seconds):
-        run = FakeRunner()(tree, workload, seed, seconds)
+    def failing(tree, workload, seed):
+        run = FakeRunner()(tree, workload, seed)
         return {**run, "correct": tree == TREES["base"]}
 
     with pytest.raises(SystemExit, match="change run failed"):
-        bench_compare.compare(TREES, ["grid"], [1], 2, 15, failing)
+        bench_compare.compare(TREES, ["grid"], [1], 2, failing)
+
+
+def test_the_run_length_recorded_is_the_one_the_benchmark_declares():
+    # pairs run at perfbench's default length, which must be BENCHMARK.json's
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert bench_compare.default_seconds(ROOT) == spec["run_seconds"]

@@ -13,6 +13,7 @@ from finstoch import (
     JointState,
     Kernel,
     NotAPartition,
+    ShapeMismatch,
     UnknownWire,
     WireOverlap,
     check_partition_lemma,
@@ -353,3 +354,30 @@ def test_a_statement_table_leaves_no_stale_entries_in_its_scratch(sizes, data, s
         got = ci._worst_residuals(p, [[s] for s in table])
         want = [mutual_ci_residual(p, sorted(parts, key=first), g) for parts, g in table]
         assert [r.hex() for r in got] == [r.hex() for r in want]
+
+
+def test_a_scratch_that_would_corrupt_the_statement_is_refused():
+    # one buffer passed twice would put the recomposition on top of the marginal
+    arr = random_rows(np.random.default_rng(6), 1, 12)[0].reshape(2, 3, 2)
+    p = JointState.from_array(arr, [("a", carrier("a", 2)), ("b", carrier("b", 3)), ("c", carrier("c", 2))])
+    parts = [["a"], ["b"]]
+    want = mutual_ci_residual(p, parts, ["c"])
+    buf = lambda n=p.array.size, dtype=float: np.zeros(n, dtype=dtype)
+    shared = buf()
+    wide = buf(2 * p.array.size)
+    for scratch, match in [
+        ([shared, shared, buf()], "overlap"),
+        ([wide[: p.array.size], wide[p.array.size - 1 :], buf()], "overlap"),
+        ([buf(), buf(p.array.size - 1), buf()], "entries"),
+        ([buf(), buf(dtype=np.float32), buf()], "float64"),
+        ([buf(), buf(2 * p.array.size)[::2], buf()], "C-contiguous"),
+        ([buf(), buf()], "not 3"),
+    ]:
+        with pytest.raises(ShapeMismatch, match=match):
+            mutual_ci_residual(p, parts, ["c"], scratch=scratch)
+    with pytest.raises(TypeError):
+        mutual_ci_residual(p, parts, ["c"], [buf(), buf(), buf()])  # keyword only
+    # disjoint slices of one allocation are a valid scratch
+    whole = buf(3 * p.array.size)
+    scratch = [whole[i * p.array.size : (i + 1) * p.array.size] for i in range(3)]
+    assert mutual_ci_residual(p, parts, ["c"], scratch=scratch).hex() == want.hex()

@@ -1,71 +1,68 @@
 """Compare this checkout with a base commit in alternating benchmark runs.
 
-    python3 tools/bench_compare.py BASE N [--workload grid] [--seeds 1,17] [--pairs 10] [--seconds 15]
+    python3 tools/bench_compare.py BASE N [--workload grid] [--seeds 1,17] [--pairs 10]
 
 Checks BASE out into a temporary ``git worktree`` (local git only), copies
 this checkout beside it (uncommitted changes included, files that
 .gitignore lists left out), and runs ``perfbench/run.py --workload W
---seed S --seconds T`` from the two trees, one pair at a time.  Both trees
-are fresh directories, so bytecode cached in this checkout does not favour
-it.  Pair i uses seed ``seeds[i % len(seeds)]``; even pairs run the base
-first and odd pairs the change first, so neither tree always runs on a
-host warmed by the other.  ``--workload`` takes a comma-separated list,
-and each workload gets its own pairs.
+--seed S`` from the two trees, one pair at a time, at the run length
+perfbench sets.  Both trees are fresh directories, so bytecode cached in
+this checkout does not favour it.  Pair i uses seed
+``seeds[i % len(seeds)]``; even pairs run the base first and odd pairs
+the change first, so neither tree always runs on a host warmed by the
+other.  ``--workload`` takes a comma-separated list, and each workload
+gets its own pairs.
 
 It writes ``bench/COMPARE_<N>.json``: both commits, the Python and numpy
-versions, and per workload every pair's end-to-end metrics, then per
-metric of BENCHMARK.json the number of pairs the change won, each side's
-median and quartiles, and ``gain``: the change won at least 9 in 10 pairs
-and its median is better than the base's by more than the base's
-interquartile range.  Nothing is written when a run fails or a
+versions, each tree's run length (the default ``--seconds`` of its
+``perfbench/run.py``), and per workload every pair's end-to-end metrics,
+then per metric of BENCHMARK.json the number of pairs the change won,
+each side's median and quartiles, and ``gain``: the change won at least
+9 in 10 pairs and its median is better than the base's by more than the
+base's interquartile range.  Nothing is written when a run fails or a
 workload's output fails its oracle check.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
-import platform
 import shutil
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
+from bench_common import ROOT, git, run_perfbench, write_doc
 
-ROOT = Path(__file__).resolve().parents[1]
 WIN_SHARE = 0.9
 
-Runner = Callable[[Path, str, int, int], dict]
+Runner = Callable[[Path, str, int], dict]
 
 
-def run_perfbench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """The JSON line of one ``perfbench/run.py`` run from ``tree``."""
-    argv = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(
-        [sys.executable, str(tree / "perfbench" / "run.py"), *argv],
-        cwd=tree,
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-    lines = [line for line in proc.stdout.splitlines() if line.startswith("{")]
-    if proc.returncode != 0 or not lines:
-        raise SystemExit(f"error: {tree}: perfbench/run.py {' '.join(argv)} exited {proc.returncode}")
-    return json.loads(lines[-1])
+def run_one(tree: Path, workload: str, seed: int) -> dict:
+    """The JSON line of one ``perfbench/run.py`` run of one workload from ``tree``."""
+    return run_perfbench(tree, "--workload", workload, "--seed", str(seed))[-1]
 
 
-def run_pairs(
-    trees: dict[str, Path], workload: str, seeds: list[int], pairs: int, seconds: int, runner: Runner
-) -> list[dict]:
+def default_seconds(tree: Path) -> int:
+    """The run length ``perfbench/run.py`` in ``tree`` uses when given no ``--seconds``."""
+    for node in ast.walk(ast.parse((tree / "perfbench" / "run.py").read_text())):
+        first = node.args[0] if isinstance(node, ast.Call) and node.args else None
+        if isinstance(first, ast.Constant) and first.value == "--seconds":
+            return next(ast.literal_eval(k.value) for k in node.keywords if k.arg == "default")
+    raise SystemExit(f"error: {tree}: perfbench/run.py declares no --seconds default")
+
+
+def run_pairs(trees: dict[str, Path], workload: str, seeds: list[int], pairs: int, runner: Runner) -> list[dict]:
     """Alternating base/change runs, the first tree flipping every pair."""
     out = []
     for i in range(pairs):
         seed = seeds[i % len(seeds)]
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        runs = {side: runner(trees[side], workload, seed, seconds) for side in order}
+        runs = {side: runner(trees[side], workload, seed) for side in order}
         for side, run in runs.items():
             if not run["correct"] or run["failed"]:
                 raise SystemExit(f"error: {workload} seed {seed}: the {side} run failed its oracle check")
@@ -98,27 +95,20 @@ def compare(
     workloads: list[str],
     seeds: list[int],
     pairs: int,
-    seconds: int,
-    runner: Runner = run_perfbench,
+    runner: Runner = run_one,
 ) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     out = {}
     for workload in workloads:
-        runs = run_pairs(trees, workload, seeds, pairs, seconds, runner)
+        runs = run_pairs(trees, workload, seeds, pairs, runner)
         out[workload] = {"pairs": runs, "metrics": summarize(runs, better)}
     return out
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(
-        ["git", *args], cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True
-    ).stdout.strip()
-
-
 def _copy_checkout(dest: Path) -> None:
     """This checkout's files as they are on disk, without what .gitignore lists."""
-    for name in _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
         if (ROOT / name).is_file():  # a tracked file deleted on disk is left out
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(ROOT / name, dest / name)
@@ -131,33 +121,23 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", default="grid", help="comma-separated (default: grid)")
     ap.add_argument("--seeds", default="1,17", help="comma-separated (default: 1,17)")
     ap.add_argument("--pairs", type=int, default=10, help="pairs per workload (default: 10)")
-    ap.add_argument("--seconds", type=int, default=15, help="run length (default: 15)")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
     seeds = [int(s) for s in args.seeds.split(",")]
-    base = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
-    commits = {"base": base, "change": _git("describe", "--always", "--dirty")}
+    base = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    commits = {"base": base, "change": git("describe", "--always", "--dirty")}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
         _copy_checkout(trees["change"])
-        _git("worktree", "add", "--detach", str(trees["base"]), base)
+        git("worktree", "add", "--detach", str(trees["base"]), base)
         try:
-            workloads = compare(trees, args.workload.split(","), seeds, args.pairs, args.seconds)
+            seconds = {side: default_seconds(tree) for side, tree in trees.items()}
+            workloads = compare(trees, args.workload.split(","), seeds, args.pairs)
         finally:
-            _git("worktree", "remove", "--force", str(trees["base"]))
-    doc = {
-        "commits": commits,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "seconds": args.seconds,
-        "seeds": seeds,
-        "workloads": workloads,
-    }
-    out = ROOT / "bench" / f"COMPARE_{args.n}.json"
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(out)
+            git("worktree", "remove", "--force", str(trees["base"]))
+    body = {"seconds": seconds, "seeds": seeds, "workloads": workloads}
+    write_doc(f"COMPARE_{args.n}.json", {"commits": commits}, body)
     return 0
 
 

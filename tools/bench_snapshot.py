@@ -16,30 +16,16 @@ fails its oracle check.
 
 from __future__ import annotations
 
-import json
-import platform
 import statistics
-import subprocess
 import sys
-from pathlib import Path
 
-import numpy as np
+from bench_common import ROOT, git, run_perfbench, write_doc
 
-ROOT = Path(__file__).resolve().parents[1]
 RUNS = 3
 
 
 def run(trace: int) -> dict[str, dict]:
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--trace", str(trace)],
-        cwd=ROOT,
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-    if proc.returncode != 0:
-        raise SystemExit(f"error: perfbench/run.py --trace {trace} exited {proc.returncode}")
-    lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
-    return {line.pop("workload"): line for line in lines}
+    return {line.pop("workload"): line for line in run_perfbench(ROOT, "--trace", str(trace))}
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -63,29 +49,16 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1 or not argv[0].isdigit():
         print("usage: python3 tools/bench_snapshot.py N", file=sys.stderr)
         return 2
-    commit = subprocess.run(
-        ["git", "describe", "--always", "--dirty"], cwd=ROOT, stdout=subprocess.PIPE, text=True
-    ).stdout.strip()
+    commit = git("describe", "--always", "--dirty")
     runs: dict[int, list[dict]] = {0: [], 1: []}
     for _ in range(RUNS):
         for trace in runs:
             runs[trace].append(run(trace))
-    doc = {
-        "commit": commit,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "workloads": {
-            name: {
-                f"trace{trace}": summarize([lines[name] for lines in runs[trace]])
-                for trace in runs
-            }
-            for name in runs[0][0]
-        },
+    workloads = {
+        name: {f"trace{trace}": summarize([lines[name] for lines in runs[trace]]) for trace in runs}
+        for name in runs[0][0]
     }
-    out = ROOT / "bench" / f"BENCH_{argv[0]}.json"
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(out)
+    write_doc(f"BENCH_{argv[0]}.json", {"commit": commit}, {"workloads": workloads})
     return 0
 
 
