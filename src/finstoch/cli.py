@@ -241,12 +241,7 @@ def _cmd_verify_ah(args) -> list[CheckLine]:
 
 
 def _cmd_check_exchangeable(args) -> list[CheckLine]:
-    from .exchange import (
-        adjacent_transpositions,
-        decode_names,
-        grid_transpositions,
-        invariance_residual,
-    )
+    from .exchange import decode_names, invariance_residual
     from .serialization import state_from_json
 
     atol = _atol()
@@ -268,11 +263,7 @@ def _cmd_check_exchangeable(args) -> list[CheckLine]:
                 f"--grid {args.grid!r} does not match the "
                 f"{naming.rows}x{naming.cols} {naming.kind} of wire names"
             )
-        if naming.kind == "grid":
-            generators = grid_transpositions(naming.rows, naming.cols)
-        else:
-            generators = adjacent_transpositions(naming.rows, "sequence")
-        for sigma in generators:
+        for sigma in naming.transpositions():
             k = next(i for i in range(1, len(sigma.perm) + 1) if sigma(i) != i)
             r = invariance_residual(p, [sigma])
             lines.append((r <= atol, f"exchange {sigma.target}-swap({k},{k + 1})", r))

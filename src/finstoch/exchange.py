@@ -4,8 +4,8 @@ The sequence construction draws one latent and emits conditionally
 independent entries X[1..n].  The grid construction draws a shared
 latent T, per-row tails R[i], per-column tails C[j], and entries
 S[i,j] from (R[i], T, C[j]).  Both joints are exact sums over the
-latents.  Invariance under row, column, or sequence permutations is
-checked on wire names of the forms ``P[i]`` and ``P[i,j]``; adjacent
+latents.  Row, column, or sequence permutations act on the positions
+decoded from wire names ``P[i]`` and ``P[i,j]``; adjacent
 transpositions generate the full permutation action.
 """
 
@@ -28,7 +28,8 @@ from .kernels import (
     contract,
 )
 
-# positions as _Naming.rename spells them: from 1, without leading zeros
+# one spelling per position: from 1, ASCII digits, no leading zeros; so an index
+# with more digits than there are wires is out of range without being converted
 _SEQ_RE = re.compile(r"^(?P<prefix>.*)\[(?P<i>[1-9][0-9]*)\]$")
 _GRID_RE = re.compile(r"^(?P<prefix>.*)\[(?P<i>[1-9][0-9]*),(?P<j>[1-9][0-9]*)\]$")
 
@@ -73,44 +74,37 @@ class _Naming:
     prefix: str
     rows: int
     cols: int
+    positions: tuple[tuple[int, ...], ...]  # each wire's (i,) or (i, j), in wire order
 
-    def rename(self, wire: str, sigma: PermSpec) -> str:
-        if self.kind == "sequence":
-            i = int(_SEQ_RE.match(wire)["i"])
-            if sigma.target != "sequence":
-                raise ShapeMismatch(
-                    f"{sigma.target} permutation applied to a sequence state"
-                )
-            return f"{self.prefix}[{sigma(i)}]"
-        m = _GRID_RE.match(wire)
-        i, j = int(m["i"]), int(m["j"])
-        if sigma.target == "row":
-            i = sigma(i)
-        elif sigma.target == "column":
-            j = sigma(j)
-        else:
-            raise ShapeMismatch("sequence permutation applied to a grid state")
-        return f"{self.prefix}[{i},{j}]"
+    def transpositions(self) -> list[PermSpec]:
+        """The adjacent swaps that generate this kind's permutation action."""
+        if self.kind == "grid":
+            return grid_transpositions(self.rows, self.cols)
+        return adjacent_transpositions(self.rows, "sequence")
 
-    def check_perm(self, sigma: PermSpec) -> None:
-        want = {
-            "row": self.rows,
-            "column": self.cols,
-            "sequence": self.rows,
-        }[sigma.target]
+    def image_order(self, sigma: PermSpec) -> list[int]:
+        """The axes that transpose a state into its image: m's is the wire sigma moves onto m."""
+        if (sigma.target == "sequence") != (self.kind == "sequence"):
+            raise ShapeMismatch(f"{sigma.target} permutation applied to a {self.kind} state")
+        a = 1 if sigma.target == "column" else 0
+        want = (self.rows, self.cols)[a]
         if len(sigma.perm) != want:
             raise ShapeMismatch(
                 f"{sigma.target} permutation of {len(sigma.perm)} positions "
                 f"applied to {want}"
             )
+        moved = {
+            pos[:a] + (sigma(pos[a]),) + pos[a + 1 :]: k for k, pos in enumerate(self.positions)
+        }
+        return [moved[pos] for pos in self.positions]
 
 
 def decode_names(names: Sequence[str]) -> _Naming:
     """Decode wire names as a complete grid P[i,j] or sequence P[i].
 
-    Each position is named exactly once and spelled as ``_Naming.rename``
-    spells it, without leading zeros.  The work is linear in the names;
-    no index set is built from the largest index.
+    Each position is named exactly once, counted from 1 without leading
+    zeros, and kept per wire.  The work is linear in the names; no index
+    set is built from the largest index.
     """
     if not names:
         raise BadWireNaming("no wires to decode")
@@ -128,17 +122,17 @@ def decode_names(names: Sequence[str]) -> _Naming:
     (pfx,) = prefixes
     n = len(names)
     # an index with more digits than n is out of range, and n + 1 stands in for it
-    cells = {
+    cells = tuple(
         tuple(int(k) if len(k) <= len(str(n)) else n + 1 for k in m.groups()[1:])
         for m in matches
-    }
+    )
     rows = max(c[0] for c in cells)
     cols = max(c[1] for c in cells) if kind == "grid" else 1
     # n distinct cells within 1..rows x 1..cols fill it exactly when rows * cols == n
-    if len(cells) != n or rows * cols != n:
+    if len(set(cells)) != n or rows * cols != n:
         shape = "1..m x 1..n" if kind == "grid" else "1..n"
         raise BadWireNaming(f"{kind} positions are not a complete {shape}, each named once")
-    return _Naming(kind, pfx, rows, cols)
+    return _Naming(kind, pfx, rows, cols, cells)
 
 
 def invariance_residual(p: JointState, generators: Iterable[PermSpec]) -> float:
@@ -151,9 +145,7 @@ def invariance_residual(p: JointState, generators: Iterable[PermSpec]) -> float:
     carriers = p.kernel.cod
     worst = 0.0
     for sigma in generators:
-        naming.check_perm(sigma)
-        renamed = [naming.rename(w, sigma) for w in p.wire_names]
-        order = [renamed.index(w) for w in p.wire_names]  # transposing by it gives the image
+        order = naming.image_order(sigma)
         if any(carriers[k] != c for k, c in zip(order, carriers)):
             raise DomainMismatch("carriers differ across permuted positions")
         worst = max(worst, float(np.abs(p.array.transpose(order) - p.array).max()))

@@ -16,6 +16,7 @@ latent expansion all live here.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -83,29 +84,34 @@ def _successors(m: CausalModel) -> dict[str, set[str]]:
     return succ
 
 
+def _repeats(xs: Iterable[str]) -> list[str]:
+    """The items that occur more than once, sorted."""
+    return sorted(x for x, k in Counter(xs).items() if k > 1)
+
+
 def validate_model(m: CausalModel) -> list[Violation]:
     """All rule violations, each naming the offending wire or box."""
     out: list[Violation] = []
     names = [b.name for b in m.boxes]
     if "" in names:
         out.append(Violation("box-names", "", "box name is empty"))
-    for n in sorted({n for n in names if names.count(n) > 1}):
+    for n in _repeats(names):
         out.append(Violation("box-names", n, "box name declared more than once"))
     wire_set = set(m.wires)
     if "" in wire_set:
         out.append(Violation("wire-names", "", "wire name is empty"))
-    for w in sorted({w for w in m.wires if m.wires.count(w) > 1}):
+    for w in _repeats(m.wires):
         out.append(Violation("wire-names", w, "wire declared more than once"))
     for n in sorted(set(names) & wire_set):
         out.append(Violation("node-names", n, "name used for both a box and a wire"))
     for b in m.boxes:
         if not b.out_wires:
             out.append(Violation("box-outputs", b.name, "box emits no wires"))
-        for w in sorted({w for w in b.out_wires if b.out_wires.count(w) > 1}):
+        for w in _repeats(b.out_wires):
             out.append(
                 Violation("produced-once", w, f"box {b.name!r} emits it twice")
             )
-        for w in sorted({w for w in b.in_wires if b.in_wires.count(w) > 1}):
+        for w in _repeats(b.in_wires):
             out.append(
                 Violation("consumed-once", w, f"box {b.name!r} consumes it twice")
             )
@@ -129,7 +135,7 @@ def validate_model(m: CausalModel) -> list[Violation]:
             out.append(
                 Violation("produced-once", w, f"produced by {sorted(producers[w])}")
             )
-    counts = {w: m.outputs.count(w) for w in wire_set}
+    counts = Counter(m.outputs)
     for w in sorted(wire_set):
         if counts[w] == 0:
             out.append(
@@ -216,8 +222,10 @@ class TimingFunction:
 
 
 def validate_timing(m: CausalModel, t: TimingFunction) -> None:
+    names = {b.name for b in m.boxes}
     for name in t.times:
-        m.box(name)
+        if name not in names:
+            raise UnknownNode(f"no box named {name!r}")
     for b in m.boxes:
         if b.name not in t.times:
             raise InvalidTiming(f"box {b.name!r} has no time")

@@ -314,13 +314,7 @@ def test_check_ci_and_markov_do_not_depend_on_the_order_of_a_carrier(
         p = perturbed(rng, p, eps=1e-3)
     wires = list(p.wire_names)
     i = int(rng.integers(len(wires)))
-    elements = p.carrier(wires[i]).elements
-    perm = rng.permutation(len(elements))
-    relabelled = JointState.from_array(
-        np.take(p.array, perm, axis=i),
-        [(w, FinSet(c.label, [elements[j] for j in perm]) if w == wires[i] else c)
-         for w, c in zip(wires, p.kernel.cod)],
-    )
+    relabelled = _relabelled(p, [wires[i]], rng.permutation(p.carrier(wires[i]).size))
     x, y, *given = (wires[j] for j in rng.permutation(len(wires))[: int(rng.integers(2, 5))])
     ci_flags = ["--x", x, "--y", y] + (["--given", ",".join(given)] if given else [])
     directory = tmp_path_factory.mktemp("carrier")
@@ -336,6 +330,16 @@ def test_check_ci_and_markov_do_not_depend_on_the_order_of_a_carrier(
         residuals.append([ci_residual(state, [x], [y], given), *markov_residuals(state, m)])
     assert runs[0] == runs[1]
     assert _agree_to_rounding(np.array(residuals[0]), np.array(residuals[1])), residuals
+
+
+def _relabelled(p: JointState, wires, perm) -> JointState:
+    """p with the elements of each listed wire reordered by perm, its array axis with them."""
+    arr, cod = p.array, list(p.kernel.cod)
+    for w in wires:
+        i = p.wire_index(w)
+        arr = np.take(arr, perm, axis=i)
+        cod[i] = FinSet(cod[i].label, [cod[i].elements[j] for j in perm])
+    return JointState.from_array(arr, list(zip(p.wire_names, cod)))
 
 
 def _agree_to_rounding(a: np.ndarray, b: np.ndarray) -> bool:
@@ -376,6 +380,51 @@ def test_factorize_and_check_exchangeable_do_not_depend_on_the_wire_order(
     for box, k in kernels[0].items():
         assert (k.dom, k.cod) == (kernels[1][box].dom, kernels[1][box].cod)
         assert _agree_to_rounding(k.matrix, kernels[1][box].matrix), box
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1), perturb=hs.booleans())
+def test_factorize_and_check_exchangeable_do_not_depend_on_the_order_of_a_carrier(
+    seed, perturb, tmp_path_factory
+):
+    # factorize sees one wire's elements reordered, check-exchangeable every
+    # entry's; each array axis is permuted with its elements
+    rng = np.random.default_rng(seed)
+    m = random_dag_model(rng, max_boxes=5, max_wires=6)
+    p = recompose(m, random_assignment(rng, m, zero_frac=0.3))
+    rows, cols = [(2, 2), (2, 3), (3, 2)][int(rng.integers(3))]
+    grid = build_ah_joint(random_ahspec(rng, rows, cols))
+    if perturb:
+        p, grid = perturbed(rng, p, eps=1e-3), perturbed(rng, grid, eps=1e-3)
+    wire = p.wire_names[int(rng.integers(len(p.wire_names)))]
+    perm = rng.permutation(p.carrier(wire).size)
+    moved = _relabelled(p, [wire], perm)
+    entries = _relabelled(grid, grid.wire_names, rng.permutation(grid.kernel.cod[0].size))
+    directory = tmp_path_factory.mktemp("carrier")
+    model = write(directory, "model.json", model_to_json(m))
+    runs, kernels = [], []
+    for state, grid_state in ((p, grid), (moved, entries)):
+        path = write(directory, "state.json", state_to_json(state))
+        grid_path = write(directory, "grid.json", state_to_json(grid_state))
+        asg_path = directory / "asg.json"
+        out, exchange = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["factorize", path, model, "-o", str(asg_path)])
+        with contextlib.redirect_stdout(exchange):
+            exchange_code = main(["check-exchangeable", grid_path])
+        # factorize's line without its residual, check-exchangeable's whole
+        factorize_lines = [line.split(" residual=")[0] for line in out.getvalue().splitlines()]
+        runs.append((code, factorize_lines, exchange_code, exchange.getvalue()))
+        kernels.append(assignment_from_json(json.loads(asg_path.read_text())).kernels)
+    assert runs[0] == runs[1]
+    for b in m.boxes:
+        k, got = kernels[0][b.name], kernels[1][b.name]
+        factors = b.in_wires + b.out_wires
+        assert got.dom + got.cod == tuple(moved.carrier(w) for w in factors)
+        want = k.array
+        if wire in factors:
+            want = np.take(want, perm, axis=factors.index(wire))
+        assert _agree_to_rounding(want.reshape(got.matrix.shape), got.matrix), b.name
 
 
 def _shuffled(rng, p):

@@ -90,7 +90,7 @@ def test_decode_rejects_bad_namings():
         ["X[1]", "Y[2]"],
         ["X[1]", "X[3]"],
         ["S[1,1]", "S[2,2]"],
-        # each position once, spelled as renaming spells it, or the check compares nothing
+        # each position named once, with the one spelling of its index
         ["X[1]", "X[01]"],
         ["X[01]", "X[2]"],
         ["X[1]", "X[1]"],
@@ -155,6 +155,56 @@ def test_invariance_rejects_positions_with_unequal_carriers():
     )
     with pytest.raises(DomainMismatch):
         invariance_residual(p, adjacent_transpositions(2, "sequence"))
+
+
+def test_a_wrong_target_is_reported_before_a_wrong_length():
+    p = JointState.from_array(
+        np.full(4, 1 / 4), [(f"S[1,{j}]", carrier("x", 2)) for j in (1, 2)]
+    )
+    with pytest.raises(ShapeMismatch, match="sequence permutation applied to a grid state"):
+        invariance_residual(p, [PermSpec("sequence", (2, 3, 1))])
+
+
+def _renamed_image_residual(p: JointState, sigma: PermSpec) -> float:
+    """Deviation of p from its image, built by renaming each wire to its moved position."""
+    a = 1 if sigma.target == "column" else 0
+
+    def moved(wire):
+        prefix, index = wire[:-1].split("[")
+        pos = [int(k) for k in index.split(",")]
+        pos[a] = sigma(pos[a])
+        return f"{prefix}[{','.join(map(str, pos))}]"
+
+    image = JointState.from_array(
+        p.array, [(moved(w), c) for w, c in zip(p.wire_names, p.kernel.cod)]
+    )
+    return float(np.abs(reindex(image, p.wire_names).array - p.array).max())
+
+
+def test_invariance_matches_the_image_built_by_renaming_wires():
+    # shuffled wire orders and arbitrary permutations, 3-cycles included
+    rng = np.random.default_rng(89)
+    x = carrier("x", 2)
+    for _ in range(200):
+        if rng.random() < 0.5:
+            rows, cols = (int(v) for v in rng.integers(1, 4, size=2))
+            names = [f"S[{i},{j}]" for i in range(1, rows + 1) for j in range(1, cols + 1)]
+            sides = {"row": rows, "column": cols}
+        else:
+            names = [f"X[{i}]" for i in range(1, int(rng.integers(1, 7)) + 1)]
+            sides = {"sequence": len(names)}
+        arr = rng.random((2,) * len(names))
+        p = JointState.from_array(arr / arr.sum(), [(names[i], x) for i in rng.permutation(len(names))])
+        for target, n in sides.items():
+            perms = [rng.permutation(n) + 1 for _ in range(2)]
+            if n >= 3:
+                cycle = np.arange(1, n + 1)
+                a, b, c = rng.choice(n, 3, replace=False)
+                cycle[[a, b, c]] = cycle[[b, c, a]]
+                perms.append(cycle)
+            for perm in perms:
+                sigma = PermSpec(target, tuple(perm))
+                assert invariance_residual(p, [sigma]) == _renamed_image_residual(p, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Wiring-diagram models: validation, descendants, timings, grids."""
 
+import time
 from collections import deque
 
 import numpy as np
@@ -63,6 +64,16 @@ def _violations(build):
 
 def test_chain_is_valid():
     assert validate_model(CHAIN) == []
+
+
+def test_model_checks_take_linear_time():
+    # repeats were once found with list.count and timing keys by a scan of
+    # the boxes, which took seconds on a model this size
+    boxes = [Box(f"f{k}", (f"W{k - 1}",) if k else (), (f"W{k}",)) for k in range(20_000)]
+    start = time.perf_counter()
+    m = make_model(boxes)
+    validate_timing(m, default_timing(m))
+    assert time.perf_counter() - start < 5.0
 
 
 def test_make_model_defaults_to_sorted_wires():

@@ -1,13 +1,15 @@
 """What tools/bench_snapshot.py and tools/bench_compare.py share.
 
-How ``perfbench/run.py`` is started and read, and how a file under
-``bench/`` records what produced it.
+How a fresh copy of the checkout is made, how ``perfbench/run.py`` is
+started and read, and how a file under ``bench/`` records what produced
+it.
 """
 
 from __future__ import annotations
 
 import json
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,18 @@ def git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True
     ).stdout.strip()
+
+
+def copy_checkout(dest: Path) -> None:
+    """This checkout's files as they are on disk, without what .gitignore lists.
+
+    Bytecode caches are left out with the rest, so a run from ``dest``
+    does not depend on what earlier runs in this checkout compiled.
+    """
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        if (ROOT / name).is_file():  # a tracked file deleted on disk is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def run_perfbench(tree: Path, *argv: str) -> list[dict]:

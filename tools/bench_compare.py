@@ -28,14 +28,13 @@ from __future__ import annotations
 import argparse
 import ast
 import json
-import shutil
 import statistics
 import sys
 import tempfile
 from pathlib import Path
 from typing import Callable
 
-from bench_common import ROOT, git, run_perfbench, write_doc
+from bench_common import ROOT, copy_checkout, git, run_perfbench, write_doc
 
 WIN_SHARE = 0.9
 
@@ -106,14 +105,6 @@ def compare(
     return out
 
 
-def _copy_checkout(dest: Path) -> None:
-    """This checkout's files as they are on disk, without what .gitignore lists."""
-    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
-        if (ROOT / name).is_file():  # a tracked file deleted on disk is left out
-            (dest / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(ROOT / name, dest / name)
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("base", help="the commit to compare against")
@@ -129,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     commits = {"base": base, "change": git("describe", "--always", "--dirty")}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
-        _copy_checkout(trees["change"])
+        copy_checkout(trees["change"])
         git("worktree", "add", "--detach", str(trees["base"]), base)
         try:
             seconds = {side: default_seconds(tree) for side, tree in trees.items()}

@@ -2,7 +2,10 @@
 
     python3 tools/bench_snapshot.py 7
 
-Runs ``perfbench/run.py`` over every workload three times with
+Copies this checkout into a temporary directory (uncommitted changes
+included, files that .gitignore lists left out), so bytecode cached in
+the checkout does not move ``setup_s`` or ``peak_rss_mb``, and runs
+``perfbench/run.py`` from the copy over every workload three times with
 ``--trace 0`` (end-to-end metrics) and three times with ``--trace 1``
 (per-layer metrics), alternating the two, at the harness's default seed
 and run length.  For each workload and trace setting the file gives the
@@ -18,14 +21,13 @@ from __future__ import annotations
 
 import statistics
 import sys
+import tempfile
+from pathlib import Path
+from typing import Callable
 
-from bench_common import ROOT, git, run_perfbench, write_doc
+from bench_common import copy_checkout, git, run_perfbench, write_doc
 
 RUNS = 3
-
-
-def run(trace: int) -> dict[str, dict]:
-    return {line.pop("workload"): line for line in run_perfbench(ROOT, "--trace", str(trace))}
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -45,20 +47,28 @@ def summarize(runs: list[dict]) -> dict:
     }
 
 
+def snapshot(runner: Callable[..., list[dict]] = run_perfbench) -> dict[str, dict]:
+    """Each workload's summaries, alternating the trace settings, run from a fresh copy."""
+    runs: dict[int, list[dict]] = {0: [], 1: []}
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        copy_checkout(tree)
+        for _ in range(RUNS):
+            for trace in runs:
+                lines = runner(tree, "--trace", str(trace))
+                runs[trace].append({line.pop("workload"): line for line in lines})
+    return {
+        name: {f"trace{trace}": summarize([lines[name] for lines in runs[trace]]) for trace in runs}
+        for name in runs[0][0]
+    }
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not argv[0].isdigit():
         print("usage: python3 tools/bench_snapshot.py N", file=sys.stderr)
         return 2
     commit = git("describe", "--always", "--dirty")
-    runs: dict[int, list[dict]] = {0: [], 1: []}
-    for _ in range(RUNS):
-        for trace in runs:
-            runs[trace].append(run(trace))
-    workloads = {
-        name: {f"trace{trace}": summarize([lines[name] for lines in runs[trace]]) for trace in runs}
-        for name in runs[0][0]
-    }
-    write_doc(f"BENCH_{argv[0]}.json", {"commit": commit}, {"workloads": workloads})
+    write_doc(f"BENCH_{argv[0]}.json", {"commit": commit}, {"workloads": snapshot()})
     return 0
 
 
