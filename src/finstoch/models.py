@@ -48,12 +48,6 @@ class CausalModel:
         if violations:
             raise InvalidModel(violations)
 
-    def box(self, name: str) -> Box:
-        for b in self.boxes:
-            if b.name == name:
-                return b
-        raise UnknownNode(f"no box named {name!r}")
-
 
 def make_model(boxes: Iterable[Box]) -> CausalModel:
     """Assemble a model from boxes; its wires and outputs are in sorted order."""
@@ -229,8 +223,10 @@ def validate_timing(m: CausalModel, t: TimingFunction) -> None:
     for b in m.boxes:
         if b.name not in t.times:
             raise InvalidTiming(f"box {b.name!r} has no time")
+    # producers in model order, consumers by name: the first pair reported
+    # does not depend on how the hash seed orders a set
     for b, tails in _successors(m).items():
-        for c in tails:
+        for c in sorted(tails):
             if not t[b] < t[c]:
                 raise InvalidTiming(
                     f"box {b!r} (t={t[b]}) must come before {c!r} (t={t[c]})"

@@ -1,9 +1,10 @@
 """Symbolic conditional-independence statements and derivations.
 
-Statements are triples of disjoint symbol sets.  Derivations replay a
-proof step by step against a fixed rule table; the closure operation
-forward-chains the four core rules (symmetry, decomposition, weak
-union, contraction) from a set of axioms over a finite ground set.
+Statements are triples of disjoint symbol sets.  ``RULES`` holds the
+four semigraphoid rules (symmetry, decomposition, weak union,
+contraction) and nothing else: derivations replay a proof step by step
+against it, and the closure forward-chains the same four from a set of
+axioms over a finite ground set.
 
 The closure works on (left, right, given) triples of int bitmasks over
 the sorted ground set and builds each CIStatement once, when it
@@ -11,12 +12,6 @@ returns.  It finds the contraction partners of a statement by two exact
 dict lookups, keyed by (left, given) and (left, right|given), so its
 contraction work is proportional to the pairs it forms, not to the
 number of statements sharing the left set, which a scan would touch.
-
-Two further rules are accepted in replayed derivations but never used
-generatively.  The partition rule turns block-versus-rest splits of a
-common ground set into any split along the meet of those partitions.
-The copy rule adjoins formal copies of conditioning symbols (spelled
-with a prime suffix) to the right-hand side.
 """
 
 from __future__ import annotations
@@ -101,45 +96,11 @@ def _is_contraction(premises: Sequence[CIStatement], c: CIStatement) -> bool:
     return _contraction_once(a, b, c) or _contraction_once(b, a, c)
 
 
-def _is_partition(premises: Sequence[CIStatement], c: CIStatement) -> bool:
-    # Premises split a common ground set into block versus rest under a
-    # common conditioning set; the conclusion may split the ground set
-    # along any union of cells of the meet of those two-block partitions.
-    if not premises:
-        return False
-    given = premises[0].given
-    ground = premises[0].left | premises[0].right
-    for p in premises:
-        if p.given != given or p.left | p.right != ground:
-            return False
-    if c.given != given or c.left | c.right != ground:
-        return False
-    signature = {s: tuple(s in p.left for p in premises) for s in ground}
-    cells: dict[tuple[bool, ...], set[str]] = {}
-    for s, sig in signature.items():
-        cells.setdefault(sig, set()).add(s)
-    return all(cell <= c.left or cell <= c.right for cell in cells.values())
-
-
-def _is_copy(premises: Sequence[CIStatement], c: CIStatement) -> bool:
-    # X _||_ Y | W entails X _||_ Y,W' | W with W' formal copies of
-    # conditioning symbols, spelled with a prime suffix.
-    if len(premises) != 1:
-        return False
-    (p,) = premises
-    if c.left != p.left or c.given != p.given or not p.right <= c.right:
-        return False
-    extra = c.right - p.right
-    return all(s.endswith("'") and s[:-1] in p.given for s in extra)
-
-
 RULES = {
     "symmetry": _is_symmetry,
     "decomposition": _is_decomposition,
     "weak_union": _is_weak_union,
     "contraction": _is_contraction,
-    "partition": _is_partition,
-    "copy_axiom": _is_copy,
 }
 
 
@@ -170,11 +131,11 @@ class Derivation:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         object.__setattr__(self, "axioms", tuple(self.axioms))
         object.__setattr__(self, "steps", tuple(self.steps))
-        allowed = set(self.symbols) | {s + "'" for s in self.symbols}
+        declared = set(self.symbols)
         for stmt in itertools.chain(
             self.axioms, (s.conclusion for s in self.steps)
         ):
-            stray = stmt.symbols - allowed
+            stray = stmt.symbols - declared
             if stray:
                 raise UnknownWire(
                     f"statement uses undeclared symbols {sorted(stray)}"

@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import finstoch
 from finstoch import (
     AHSpec,
     Box,
@@ -26,6 +31,20 @@ from finstoch import (
     make_model,
     recompose,
 )
+
+SRC = Path(finstoch.__file__).resolve().parents[1]
+
+
+def fresh(code: str, *argv: str, cwd=None, **env: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports finstoch from this tree.
+
+    Keyword arguments are set in the child's environment.
+    """
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING="utf-8", **env)
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=cwd, env=env, capture_output=True, timeout=60
+    )
 
 
 def carrier(label: str, size: int) -> FinSet:

