@@ -38,7 +38,7 @@ from .errors import DEFAULT_ATOL, FinstochError, InvalidModel, ShapeMismatch
 # One reported check: pass/fail, display name, optional residual.
 CheckLine = tuple[bool, str, "float | None"]
 
-_GRID_ARG_RE = re.compile(r"^(\d+)x(\d+)$")
+_GRID_ARG_RE = re.compile(r"[0-9]+(x[0-9]+)?")  # N or MxN, ASCII digits only
 
 
 def _atol(default: float = DEFAULT_ATOL) -> float:
@@ -247,21 +247,17 @@ def _cmd_check_exchangeable(args) -> list[CheckLine]:
     atol = _atol()
     want = None
     if args.grid:
-        match = _GRID_ARG_RE.match(args.grid)
-        if match:
-            want = ("grid", int(match[1]), int(match[2]))
-        elif args.grid.isdigit():
-            want = ("sequence", int(args.grid), 1)
-        else:
+        if not _GRID_ARG_RE.fullmatch(args.grid):
             raise ShapeMismatch(f"--grid {args.grid!r} is not MxN or N")
+        want = tuple(map(int, args.grid.split("x")))
     p = _read(args.state, state_from_json, _load_atol())
     lines: list[CheckLine] = []
     with _blame(args.state):
         naming = decode_names(p.wire_names)
-        if want and (naming.kind, naming.rows, naming.cols) != want:
+        if want and naming.shape != want:
+            shape = "x".join(map(str, naming.shape))
             raise ShapeMismatch(
-                f"--grid {args.grid!r} does not match the "
-                f"{naming.rows}x{naming.cols} {naming.kind} of wire names"
+                f"--grid {args.grid!r} does not match the {shape} {naming.kind} of wire names"
             )
         for sigma in naming.transpositions():
             k = next(i for i in range(1, len(sigma.perm) + 1) if sigma(i) != i)
@@ -407,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="permutation invariance of a state with indexed wire names",
     )
     s.add_argument("state")
-    s.add_argument("--grid", help="expected shape MxN (or N for sequences)")
+    s.add_argument("--grid", help="expected shape MxN (or N for sequences), in ASCII digits")
     s.set_defaults(handler=_cmd_check_exchangeable)
 
     s = sub.add_parser("replay", help="validate a derivation step by step")

@@ -4,14 +4,16 @@ The sequence construction draws one latent and emits conditionally
 independent entries X[1..n].  The grid construction draws a shared
 latent T, per-row tails R[i], per-column tails C[j], and entries
 S[i,j] from (R[i], T, C[j]).  Both joints are exact sums over the
-latents.  Row, column, or sequence permutations act on the positions
-decoded from wire names ``P[i]`` and ``P[i,j]``; adjacent
+latents.  Wire names ``P[i]`` and ``P[i,j]`` decode to index
+positions with one or two slots.  A sequence or row permutation moves
+slot 0 of its positions and a column permutation slot 1; adjacent
 transpositions generate the full permutation action.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -30,8 +32,11 @@ from .kernels import (
 
 # one spelling per position: from 1, ASCII digits, no leading zeros; so an index
 # with more digits than there are wires is out of range without being converted
-_SEQ_RE = re.compile(r"^(?P<prefix>.*)\[(?P<i>[1-9][0-9]*)\]$")
-_GRID_RE = re.compile(r"^(?P<prefix>.*)\[(?P<i>[1-9][0-9]*),(?P<j>[1-9][0-9]*)\]$")
+_NAME_RE = re.compile(r"^(?P<prefix>.*)\[(?P<index>[1-9][0-9]*(,[1-9][0-9]*)?)\]$")
+# each target's index arity and the slot it moves
+_ACTIONS = {"sequence": (1, 0), "row": (2, 0), "column": (2, 1)}
+# what messages call a shape of each arity, and its complete set of positions
+_SHAPES = {1: ("sequence", "1..n"), 2: ("grid", "1..m x 1..n")}
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,7 @@ class PermSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "perm", tuple(int(k) for k in self.perm))
-        if self.target not in ("row", "column", "sequence"):
+        if self.target not in _ACTIONS:
             raise ShapeMismatch(f"unknown permutation target {self.target!r}")
         if sorted(self.perm) != list(range(1, len(self.perm) + 1)):
             raise ShapeMismatch(f"not a permutation of 1..{len(self.perm)}")
@@ -70,24 +75,25 @@ def grid_transpositions(rows: int, cols: int) -> list[PermSpec]:
 
 @dataclass(frozen=True)
 class _Naming:
-    kind: str  # "sequence" | "grid"
     prefix: str
-    rows: int
-    cols: int
+    shape: tuple[int, ...]  # (n,) or (rows, cols)
     positions: tuple[tuple[int, ...], ...]  # each wire's (i,) or (i, j), in wire order
 
+    @property
+    def kind(self) -> str:
+        return _SHAPES[len(self.shape)][0]
+
     def transpositions(self) -> list[PermSpec]:
-        """The adjacent swaps that generate this kind's permutation action."""
-        if self.kind == "grid":
-            return grid_transpositions(self.rows, self.cols)
-        return adjacent_transpositions(self.rows, "sequence")
+        """The adjacent swaps of every target acting on this shape, target by target."""
+        acting = [(t, a) for t, (arity, a) in _ACTIONS.items() if arity == len(self.shape)]
+        return [sigma for t, a in acting for sigma in adjacent_transpositions(self.shape[a], t)]
 
     def image_order(self, sigma: PermSpec) -> list[int]:
         """The axes that transpose a state into its image: m's is the wire sigma moves onto m."""
-        if (sigma.target == "sequence") != (self.kind == "sequence"):
+        arity, a = _ACTIONS[sigma.target]
+        if arity != len(self.shape):
             raise ShapeMismatch(f"{sigma.target} permutation applied to a {self.kind} state")
-        a = 1 if sigma.target == "column" else 0
-        want = (self.rows, self.cols)[a]
+        want = self.shape[a]
         if len(sigma.perm) != want:
             raise ShapeMismatch(
                 f"{sigma.target} permutation of {len(sigma.perm)} positions "
@@ -108,10 +114,8 @@ def decode_names(names: Sequence[str]) -> _Naming:
     """
     if not names:
         raise BadWireNaming("no wires to decode")
-    kind, matches = "grid", [_GRID_RE.match(w) for w in names]
-    if not all(matches):
-        kind, matches = "sequence", [_SEQ_RE.match(w) for w in names]
-    if not all(matches):
+    matches = [_NAME_RE.match(w) for w in names]
+    if not all(matches) or len({m["index"].count(",") for m in matches}) != 1:
         raise BadWireNaming(
             "wire names must all look like P[i] or all like P[i,j], "
             "positions from 1 without leading zeros"
@@ -123,16 +127,15 @@ def decode_names(names: Sequence[str]) -> _Naming:
     n = len(names)
     # an index with more digits than n is out of range, and n + 1 stands in for it
     cells = tuple(
-        tuple(int(k) if len(k) <= len(str(n)) else n + 1 for k in m.groups()[1:])
+        tuple(int(k) if len(k) <= len(str(n)) else n + 1 for k in m["index"].split(","))
         for m in matches
     )
-    rows = max(c[0] for c in cells)
-    cols = max(c[1] for c in cells) if kind == "grid" else 1
-    # n distinct cells within 1..rows x 1..cols fill it exactly when rows * cols == n
-    if len(set(cells)) != n or rows * cols != n:
-        shape = "1..m x 1..n" if kind == "grid" else "1..n"
-        raise BadWireNaming(f"{kind} positions are not a complete {shape}, each named once")
-    return _Naming(kind, pfx, rows, cols, cells)
+    shape = tuple(map(max, zip(*cells)))
+    # n distinct cells within the box 1..shape fill it exactly when its size is n
+    if len(set(cells)) != n or math.prod(shape) != n:
+        kind, span = _SHAPES[len(shape)]
+        raise BadWireNaming(f"{kind} positions are not a complete {span}, each named once")
+    return _Naming(pfx, shape, cells)
 
 
 def invariance_residual(p: JointState, generators: Iterable[PermSpec]) -> float:

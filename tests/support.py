@@ -246,6 +246,24 @@ def chain_joint(rng, names, lo=2, hi=3) -> JointState:
     return recompose(m, random_assignment(rng, m, lo, hi))
 
 
+def skipped_link_chain() -> tuple[CausalModel, JointState]:
+    """The chain A -> B -> C -> D on bits, and a state in which D is drawn from (A, C).
+
+    Every box's screening-off statement holds on the state except d's.
+    """
+    bit = carrier("bit", 2)
+    boxes = [Box("a", (), ("A",)), Box("b", ("A",), ("B",)), Box("c", ("B",), ("C",))]
+    kernels = {
+        "a": Kernel.state([0.5, 0.5], bit),
+        "b": Kernel((bit,), (bit,), [[0.8, 0.2], [0.3, 0.7]]),
+        "c": Kernel((bit,), (bit,), [[0.9, 0.1], [0.2, 0.8]]),
+        "d": Kernel((bit, bit), (bit,), [[0.9, 0.1], [0.4, 0.6], [0.2, 0.8], [0.7, 0.3]]),
+    }
+    skipping = make_model(boxes + [Box("d", ("A", "C"), ("D",))])
+    p = recompose(skipping, BoxAssignment({w: bit for w in "ABCD"}, kernels))
+    return make_model(boxes + [Box("d", ("C",), ("D",))]), p
+
+
 # ---------------------------------------------------------------------------
 # random models and assignments
 

@@ -1,14 +1,31 @@
 """tools/bench_snapshot.py runs perfbench from a fresh copy of the checkout."""
 
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
+import bench_common  # noqa: E402
 import bench_snapshot  # noqa: E402
 
 
-def test_the_snapshot_runs_from_a_copy_without_bytecode_caches():
+def _throwaway_checkout(repo: Path) -> Path:
+    """A git repository holding perfbench/run.py and a bytecode cache that .gitignore lists."""
+    (repo / "perfbench" / "__pycache__").mkdir(parents=True)
+    shutil.copy2(ROOT / "perfbench" / "run.py", repo / "perfbench" / "run.py")
+    (repo / "perfbench" / "__pycache__" / "run.pyc").write_bytes(b"")
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    user = ["-c", "user.name=finstoch", "-c", "user.email=finstoch@example.invalid"]
+    for argv in (["init", "-q"], ["add", "-A"], [*user, "commit", "-q", "-m", "fixture"]):
+        subprocess.run(["git", *argv], cwd=repo, check=True, capture_output=True)
+    return repo
+
+
+def test_the_snapshot_runs_from_a_copy_without_bytecode_caches(tmp_path, monkeypatch):
+    # the copy is made from a repository of its own, so the test runs outside a checkout too
+    monkeypatch.setattr(bench_common, "ROOT", _throwaway_checkout(tmp_path / "repo"))
     seen = []
 
     def runner(tree, *argv):

@@ -50,6 +50,7 @@ from support import (
     random_kernel,
     random_state,
     relaid_out,
+    skipped_link_chain,
 )
 
 
@@ -247,6 +248,19 @@ def _coupled_state(tmp_path):
         "wire_names": ["X", "Y", "Z"],
     }
     return write(tmp_path, "coupled.json", doc)
+
+
+def test_check_markov_fails_both_properties_when_one_box_fails(tmp_path, capsys):
+    chain, p = skipped_link_chain()
+    model = write(tmp_path, "chain.json", model_to_json(chain))
+    state = write(tmp_path, "state.json", state_to_json(p))
+    code, out, _ = run(capsys, ["check-markov", state, model])
+    assert code == 1
+    assert [line.split()[:2] for line in out] == [
+        ["FAIL", "local-markov"],
+        ["FAIL", "ordered-markov"],
+        ["FAIL", "compatible"],
+    ]
 
 
 def test_check_markov_detects_incompatible_states(chain_files, tmp_path, capsys):
@@ -521,6 +535,25 @@ def test_raised_entry_under_a_loose_atol_names_the_state(
     assert err.count("raised.json") == 1 and "row sums deviate" in err
 
 
+@pytest.mark.parametrize("entry, want", [(-2e-9, 2), (-1e-9, 0)])
+def test_a_negative_entry_loads_down_to_the_load_tolerance(tmp_path, capsys, entry, want):
+    # x is independent of y, whose second value has no mass
+    doc = {
+        "dom": [],
+        "cod": [{"label": "b", "elements": ["0", "1"]}] * 2,
+        "rows": [[1.0 - entry, 0.0, entry, 0.0]],
+        "wire_names": ["x", "y"],
+    }
+    state = write(tmp_path, "negative.json", doc)
+    code, out, err = run(capsys, ["check-ci", state, "--x", "x", "--y", "y"])
+    assert code == want
+    if want == 2:
+        assert out == []
+        assert err.startswith(f"error: {state}: ") and "negative entry -2e-09" in err
+    else:
+        assert out[0].startswith("PASS ci") and err == ""
+
+
 def _uniform_doc(wires, labels):
     """Uniform state doc; wire k carries the carrier named by labels[k]."""
     sizes = {"bit": 2, "trit": 3}
@@ -720,6 +753,32 @@ def test_check_exchangeable_grid_and_shape_argument(tmp_path, capsys):
     assert code == 2 and "does not match" in err
     code, _, err = run(capsys, ["check-exchangeable", state, "--grid", "wide"])
     assert code == 2 and "is not MxN" in err
+
+
+@pytest.mark.parametrize("grid", ["\u00b2", "\u0663"])  # a superscript two, an Arabic-Indic three
+def test_check_exchangeable_reads_the_grid_in_ascii_digits_only(tmp_path, capsys, grid):
+    state = write(tmp_path, "seq.json", _definetti_doc(3))
+    code, out, err = run(capsys, ["check-exchangeable", state, "--grid", grid])
+    assert code == 2
+    assert out == []
+    assert err == f"error: --grid {grid!r} is not MxN or N\n"
+
+
+@pytest.mark.parametrize(
+    "wires, grid, shape",
+    [
+        (["X[1]", "X[2]", "X[3]"], "3x1", "3 sequence"),
+        (["S[1,1]", "S[1,2]", "S[2,1]", "S[2,2]"], "4", "2x2 grid"),
+    ],
+)
+def test_a_grid_mismatch_spells_the_decoded_shape_as_the_flag_does(
+    tmp_path, capsys, wires, grid, shape
+):
+    state = write(tmp_path, "named.json", _uniform_doc(wires, ["bit"] * len(wires)))
+    code, out, err = run(capsys, ["check-exchangeable", state, "--grid", grid])
+    assert code == 2
+    assert out == []
+    assert err == f"error: {state}: --grid {grid!r} does not match the {shape} of wire names\n"
 
 
 def test_check_exchangeable_single_wire_has_no_checks(tmp_path, capsys):

@@ -73,14 +73,14 @@ def test_decode_sequence_names():
     naming = decode_names(["X[2]", "X[1]", "X[3]"])
     assert naming.kind == "sequence"
     assert naming.prefix == "X"
-    assert naming.rows == 3
+    assert naming.shape == (3,)
 
 
 def test_decode_grid_names():
     names = ["S[1,1]", "S[1,2]", "S[2,1]", "S[2,2]", "S[3,1]", "S[3,2]"]
     naming = decode_names(names)
     assert naming.kind == "grid"
-    assert (naming.rows, naming.cols) == (3, 2)
+    assert naming.shape == (3, 2)
 
 
 def test_decode_rejects_bad_namings():

@@ -399,6 +399,12 @@ def test_contract_matches_unoptimized_einsum_on_drawn_operands(case):
     got = contract(operands, out)
     assert got.shape == want.shape
     assert np.abs(got - want).max(initial=0.0) <= 1e-15
+    # reversed and renamed, the labels are numbered anew, which moves the elimination order's ties
+    renamed = contract(
+        [(arr, [f"r{i}" for i in idx]) for arr, idx in operands[::-1]], [f"r{i}" for i in out]
+    )
+    bound = np.where(np.abs(got) < 1e-12, 1e-15, 1e-12 * np.abs(got))
+    assert renamed.shape == got.shape and np.all(np.abs(renamed - got) <= bound)
 
 
 def test_pairing_steps_stay_under_the_cap(monkeypatch):
@@ -482,6 +488,15 @@ def test_as_equal_sees_only_the_support():
     assert max_abs_diff(f, g) == 1.0
     q = Kernel.state([0.4, 0.3, 0.3], carrier("D", 3))
     assert as_equal_residual(f, g, q) > DEFAULT_ATOL
+
+
+def test_as_equal_counts_a_mass_of_exactly_atol_as_null():
+    d = carrier("D", 2)
+    f = Kernel((d,), (B,), [[0.3, 0.7], [1.0, 0.0]])
+    g = Kernel((d,), (B,), [[0.3, 0.7], [0.0, 1.0]])
+    above = np.nextafter(DEFAULT_ATOL, 1.0)
+    assert as_equal_residual(f, g, Kernel.state([1 - DEFAULT_ATOL, DEFAULT_ATOL], d)) == 0.0
+    assert as_equal_residual(f, g, Kernel.state([1 - above, above], d)) == 1.0
 
 
 def test_as_equal_interface_checks():

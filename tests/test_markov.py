@@ -51,6 +51,7 @@ from support import (
     random_kernel,
     random_state,
     relaid_out,
+    skipped_link_chain,
 )
 
 BIT = carrier("bit", 2)
@@ -225,6 +226,14 @@ def test_coupled_state_fails_every_notion():
     assert ordered_markov_residual(p, CHAIN) > 0.05
     assert compatibility_residual(p, CHAIN) == pytest.approx(0.125)
     assert compatibility_residual(p, CHAIN) > DEFAULT_ATOL
+
+
+def test_one_failing_box_fails_both_properties():
+    # the family's residual is its worst statement's, not its best one's
+    chain, p = skipped_link_chain()
+    assert ci_residual(p, ["C"], ["A"], ["B"]) <= 1e-15  # box c's statement holds
+    local, ordered = markov_residuals(p, chain)
+    assert local > 1e-9 and ordered > 1e-9
 
 
 def test_factorize_then_recompose_is_the_identity_on_compatible_states():
