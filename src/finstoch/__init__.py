@@ -54,6 +54,7 @@ _EXPORTS = {
         "build_ah_joint",
         "build_definetti_joint",
         "decode_names",
+        "expand_ah_model",
         "grid_transpositions",
         "invariance_residual",
         "verify_ah_lemmas",
@@ -96,7 +97,6 @@ _EXPORTS = {
         "TimingFunction",
         "Violation",
         "default_timing",
-        "expand_ah_model",
         "make_model",
         "non_descendants",
         "past",

@@ -1,10 +1,14 @@
 """Generative constructions with shared latents, and invariance checks.
 
-The sequence construction draws one latent and emits conditionally
-independent entries X[1..n].  The grid construction draws a shared
-latent T, per-row tails R[i], per-column tails C[j], and entries
-S[i,j] from (R[i], T, C[j]).  Both joints are exact sums over the
-latents.  Wire names ``P[i]`` and ``P[i,j]`` decode to index
+Each latent construction is written once, as a lazy list of boxes in
+wire order: a box's name, the kernel it runs, its input wires and its
+one output wire.  The sequence construction draws one latent A and
+emits conditionally independent entries X[1..n].  The grid
+construction draws a shared latent T, per-row tails R[i], per-column
+tails C[j], and entries S[i,j] from (R[i], T, C[j]).  A joint
+contracts the list once, an exact sum over the latents, the wires some
+box reads; the grid's wiring-diagram model and its lemma families read
+the same list.  Wire names ``P[i]`` and ``P[i,j]`` decode to index
 positions with one or two slots.  A sequence or row permutation moves
 slot 0 of its positions and a column permutation slot 1; adjacent
 transpositions generate the full permutation action.
@@ -16,23 +20,20 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .ci import _worst_residuals
-from .errors import BadWireNaming, DomainMismatch, ShapeMismatch
-from .kernels import (
-    DEFAULT_ATOL,
-    FinSet,
-    JointState,
-    Kernel,
-    contract,
-)
+from .errors import MAX_WIRES, BadWireNaming, DomainMismatch, ShapeMismatch, SizeLimit
+from .kernels import DEFAULT_ATOL, JointState, Kernel, contract
+
+if TYPE_CHECKING:
+    from .models import CausalModel
 
 # one spelling per position: from 1, ASCII digits, no leading zeros; so an index
 # with more digits than there are wires is out of range without being converted
-_NAME_RE = re.compile(r"^(?P<prefix>.*)\[(?P<index>[1-9][0-9]*(,[1-9][0-9]*)?)\]$")
+_NAME_RE = re.compile(r"(?P<prefix>.*)\[(?P<index>[1-9][0-9]*(,[1-9][0-9]*)?)\]")
 # each target's index arity and the slot it moves
 _ACTIONS = {"sequence": (1, 0), "row": (2, 0), "column": (2, 1)}
 # what messages call a shape of each arity, and its complete set of positions
@@ -114,7 +115,7 @@ def decode_names(names: Sequence[str]) -> _Naming:
     """
     if not names:
         raise BadWireNaming("no wires to decode")
-    matches = [_NAME_RE.match(w) for w in names]
+    matches = [_NAME_RE.fullmatch(w) for w in names]
     if not all(matches) or len({m["index"].count(",") for m in matches}) != 1:
         raise BadWireNaming(
             "wire names must all look like P[i] or all like P[i,j], "
@@ -155,6 +156,22 @@ def invariance_residual(p: JointState, generators: Iterable[PermSpec]) -> float:
     return worst
 
 
+def _contract_boxes(boxes: Iterable[tuple], expose: bool) -> JointState:
+    """The joint of a box list: each box's kernel at its inputs and output, multiplied.
+
+    The latents, the outputs some box reads, are summed out unless
+    exposed; the other outputs stay in box order, the latents among
+    them when exposed.  Each box brings a new wire, so contract meets
+    the wire cap within the first MAX_WIRES + 1 boxes, and no more are
+    drawn from a lazy list.
+    """
+    boxes = list(itertools.islice(boxes, MAX_WIRES + 1))
+    read = {w for _, _, ins, _ in boxes for w in ins}
+    wires = [(out, k.cod[0]) for _, k, _, out in boxes if expose or out not in read]
+    arr = contract(((k.array, [*ins, out]) for _, k, ins, out in boxes), [w for w, _ in wires])
+    return JointState.from_array(arr, wires)
+
+
 def build_definetti_joint(
     q: Kernel, f: Kernel, n: int, expose_latent: bool = False
 ) -> JointState:
@@ -165,17 +182,10 @@ def build_definetti_joint(
         raise ShapeMismatch("f must map the latent carrier to a single factor")
     if n < 1:
         raise ShapeMismatch("n must be at least 1")
-    # labels: None for the latent, i for X[i]; the range stays lazy, so a
-    # huge n hits the wire cap before anything of size n exists
-    xs = range(1, n + 1)
-    arr = contract(
-        itertools.chain([(q.matrix[0], [None])], ((f.matrix, [None, i]) for i in xs)),
-        itertools.chain([None] if expose_latent else [], xs),
+    boxes = itertools.chain(
+        [("alpha", q, (), "A")], ((f"beta[{i}]", f, ("A",), f"X[{i}]") for i in range(1, n + 1))
     )
-    wires = [(f"X[{i}]", f.cod[0]) for i in xs]
-    if expose_latent:
-        wires = [("A", q.cod[0])] + wires
-    return JointState.from_array(arr, wires)
+    return _contract_boxes(boxes, expose_latent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,14 +216,33 @@ class AHSpec:
             raise ShapeMismatch("grid must have at least one row and column")
 
 
-def _ah_wires(spec: AHSpec, expose_latents: bool) -> Iterator[tuple[str, FinSet]]:
-    a, b, c, x = spec.q.cod[0], spec.f.cod[0], spec.g.cod[0], spec.h.cod[0]
-    rows, cols = range(1, spec.rows + 1), range(1, spec.cols + 1)
-    if expose_latents:
-        yield ("T", a)
-        yield from ((f"R[{i}]", b) for i in rows)
-        yield from ((f"C[{j}]", c) for j in cols)
-    yield from ((f"S[{i},{j}]", x) for i in rows for j in cols)
+def _ah_boxes(rows: int, cols: int, q=None, f=None, g=None, h=None) -> Iterator[tuple]:
+    """The grid construction's boxes in wire order: (name, kernel, input wires, output wire)."""
+    rs, cs = range(1, rows + 1), range(1, cols + 1)
+    yield "alpha", q, (), "T"
+    yield from ((f"beta[{i}]", f, ("T",), f"R[{i}]") for i in rs)
+    yield from ((f"gamma[{j}]", g, ("T",), f"C[{j}]") for j in cs)
+    for i, j in itertools.product(rs, cs):
+        yield f"eta[{i},{j}]", h, (f"R[{i}]", "T", f"C[{j}]"), f"S[{i},{j}]"
+
+
+def expand_ah_model(rows: int, cols: int | None = None) -> CausalModel:
+    """The row/column latent model on an explicit rows-by-cols grid.
+
+    One box per entry of the grid's box list: alpha emits the shared
+    latent T, beta[i] and gamma[j] the tails R[i] and C[j], and eta[i,j]
+    consumes (R[i], T, C[j]) and emits the entry S[i,j].
+    """
+    from .models import Box, make_model  # so the numeric subcommands never load models
+
+    cols = rows if cols is None else cols
+    wires = 1 + rows + cols + rows * cols
+    if min(rows, cols) < 1 or wires > MAX_WIRES:
+        raise SizeLimit(
+            f"{rows}x{cols} grid: sides must be at least 1 and its {wires} wires "
+            f"at most {MAX_WIRES}, the most a contraction can address"
+        )
+    return make_model(Box(name, ins, (out,)) for name, _, ins, out in _ah_boxes(rows, cols))
 
 
 def build_ah_joint(spec: AHSpec, expose_latents: bool = False) -> JointState:
@@ -223,20 +252,8 @@ def build_ah_joint(spec: AHSpec, expose_latents: bool = False) -> JointState:
     f at each row tail, g at each column tail, and h at each entry, and
     sums over whatever is not exposed.
     """
-    rows, cols = range(1, spec.rows + 1), range(1, spec.cols + 1)
-    # lazy, so a large grid hits the wire cap before its operands exist
-    operands = itertools.chain(
-        [(spec.q.matrix[0], ["T"])],
-        ((spec.f.matrix, ["T", f"R[{i}]"]) for i in rows),
-        ((spec.g.matrix, ["T", f"C[{j}]"]) for j in cols),
-        (
-            (spec.h.array, [f"R[{i}]", "T", f"C[{j}]", f"S[{i},{j}]"])
-            for i in rows
-            for j in cols
-        ),
-    )
-    arr = contract(operands, (w for w, _ in _ah_wires(spec, expose_latents)))
-    return JointState.from_array(arr, list(_ah_wires(spec, expose_latents)))
+    boxes = _ah_boxes(spec.rows, spec.cols, spec.q, spec.f, spec.g, spec.h)
+    return _contract_boxes(boxes, expose_latents)
 
 
 @dataclass(frozen=True)
@@ -250,28 +267,34 @@ class AHLemmaReport:
 
 
 def verify_ah_lemmas(spec: AHSpec) -> AHLemmaReport:
-    """Check the three independence facts on the latent-exposed joint.
+    """Check the three independence facts on the latent-exposed joint of any grid.
 
-    The report's booleans hold each residual to DEFAULT_ATOL.
+    The families come from the grid's box list.  The tails are the
+    outputs of the f- and g-boxes, the entries those of the h-boxes.
+    The entries are jointly independent given all their boxes' inputs,
+    and the tails given all of theirs, the latent T.  Each entry is
+    independent, given its box's inputs, of the other tails and of the
+    entries whose boxes share no tail with its own.  The report's
+    booleans hold each residual to DEFAULT_ATOL.
     """
-    if spec.rows != spec.cols:
-        raise ShapeMismatch("a square grid is required")
-    n = spec.rows
     p = build_ah_joint(spec, expose_latents=True)
-    ns = range(1, n + 1)
-    rs, cs = [f"R[{i}]" for i in ns], [f"C[{j}]" for j in ns]
-    entries = [f"S[{i},{j}]" for i in ns for j in ns]
+    boxes = list(_ah_boxes(spec.rows, spec.cols, spec.q, spec.f, spec.g, spec.h))
+    tails = [(out, ins) for _, k, ins, out in boxes if k is spec.f or k is spec.g]
+    entries = [(out, ins) for _, k, ins, out in boxes if k is spec.h]
+
+    def jointly(outs):  # each output its own part, given every input of their boxes
+        return [([[out] for out, _ in outs], {w for _, ins in outs for w in ins})]
 
     def entry_vs_unrelated():
-        for i, j in itertools.product(ns, repeat=2):
-            unrelated = [f"R[{k}]" for k in ns if k != i] + [f"C[{l}]" for l in ns if l != j]
-            unrelated += [f"S[{k},{l}]" for k in ns for l in ns if k != i and l != j]
+        names = {t for t, _ in tails}
+        for e, ins in entries:
+            own = names.intersection(ins)
+            unrelated = [t for t, _ in tails if t not in own]
+            unrelated += [o for o, i in entries if not own.intersection(i)]
             if unrelated:
-                yield [[f"S[{i},{j}]"], unrelated], [f"R[{i}]", f"C[{j}]", "T"]
+                yield [[e], unrelated], ins
 
-    lemma1 = ([[e] for e in entries], rs + cs + ["T"])  # the entries, given every tail
-    lemma3 = ([[w] for w in rs + cs], ["T"])  # the tails, given the latent
-    r1, r2, r3 = _worst_residuals(p, [[lemma1], entry_vs_unrelated(), [lemma3]])
+    r1, r2, r3 = _worst_residuals(p, [jointly(entries), entry_vs_unrelated(), jointly(tails)])
     return AHLemmaReport(
         entries_independent=r1 <= DEFAULT_ATOL,
         entry_separated=r2 <= DEFAULT_ATOL,

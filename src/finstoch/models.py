@@ -9,8 +9,8 @@ overall outputs, and that the box-level precedence relation is acyclic.
 A model is checked once, when it is built: ``CausalModel`` raises
 ``InvalidModel`` listing every violation, so every other function takes
 a valid, acyclic model.  The topological order, every box's
-non-descendant and past wires, timing functions and the row/column
-latent expansion all live here.
+non-descendant and past wires and timing functions live here; the
+latent constructions build their models in ``exchange``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import MAX_WIRES, InvalidModel, InvalidTiming, SizeLimit, UnknownNode
+from .errors import InvalidModel, InvalidTiming, UnknownNode
 
 
 @dataclass(frozen=True)
@@ -253,31 +253,3 @@ def default_timing(m: CausalModel) -> TimingFunction:
     for b in topo_order(m):
         times[b.name] = 1 + max((times[produced[w]] for w in b.in_wires), default=0)
     return TimingFunction(times)
-
-
-def expand_ah_model(rows: int, cols: int | None = None) -> CausalModel:
-    """The row/column latent model on an explicit rows-by-cols grid.
-
-    One source box emits the shared latent T; per-row and per-column
-    boxes emit the tails R[i] and C[j]; one box per cell consumes
-    (R[i], T, C[j]) and emits the entry S[i,j].
-    """
-    if cols is None:
-        cols = rows
-    wires = 1 + rows + cols + rows * cols
-    if min(rows, cols) < 1 or wires > MAX_WIRES:
-        raise SizeLimit(
-            f"{rows}x{cols} grid: sides must be at least 1 and its {wires} wires "
-            f"at most {MAX_WIRES}, the most a contraction can address"
-        )
-    boxes = [Box("alpha", (), ("T",))]
-    for i in range(1, rows + 1):
-        boxes.append(Box(f"beta[{i}]", ("T",), (f"R[{i}]",)))
-    for j in range(1, cols + 1):
-        boxes.append(Box(f"gamma[{j}]", ("T",), (f"C[{j}]",)))
-    for i in range(1, rows + 1):
-        for j in range(1, cols + 1):
-            boxes.append(
-                Box(f"eta[{i},{j}]", (f"R[{i}]", "T", f"C[{j}]"), (f"S[{i},{j}]",))
-            )
-    return make_model(boxes)

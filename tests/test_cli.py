@@ -630,6 +630,15 @@ def test_check_exchangeable_rejects_a_position_not_named_once_canonically(
     assert "unexpected" not in err
 
 
+@pytest.mark.parametrize("grid", [[], ["--grid", "2"]])
+def test_check_exchangeable_refuses_a_wire_name_with_a_trailing_newline(tmp_path, capsys, grid):
+    state = write(tmp_path, "newline.json", _uniform_doc(["X[1]\n", "X[2]"], ["bit", "bit"]))
+    code, out, err = run(capsys, ["check-exchangeable", state, *grid])
+    assert code == 2
+    assert out == []
+    assert err.startswith(f"error: {state}: ")
+
+
 def test_check_markov_timing_file(chain_files, tmp_path, capsys):
     model, state = chain_files
     good = write(tmp_path, "t.json", {"f1": 1, "f2": 5, "f3": 9})
@@ -695,8 +704,13 @@ def test_verify_ah_reports_three_lemma_lines(tmp_path, capsys):
         "rect.json",
         ahspec_to_json(random_ahspec(np.random.default_rng(25), 2, cols=3, hi=2)),
     )
-    code, _, err = run(capsys, ["verify-ah", rect])
-    assert code == 2 and "error:" in err
+    code, out, _ = run(capsys, ["verify-ah", rect])
+    assert code == 0
+    assert [line.split()[:2] for line in out] == [
+        ["PASS", "ah-entries-given-tails"],
+        ["PASS", "ah-entry-vs-unrelated"],
+        ["PASS", "ah-tails-given-latent"],
+    ]
 
 
 def test_verify_ah_wire_cap_on_one_element_grids(tmp_path, capsys):

@@ -9,6 +9,8 @@ from finstoch import (
     DEFAULT_ATOL,
     AHSpec,
     BadWireNaming,
+    Box,
+    BoxAssignment,
     DomainMismatch,
     JointState,
     Kernel,
@@ -28,21 +30,24 @@ from finstoch import (
     identity,
     invariance_residual,
     local_markov_residual,
+    make_model,
     marginalize,
     max_abs_diff,
     mutual_ci_residual,
     ordered_markov_residual,
+    recompose,
     reindex,
     tensor,
     verify_ah_lemmas,
 )
-from finstoch import kernels
+from finstoch import exchange, kernels
 from finstoch.kernels import contract
 from support import (
     carrier,
     one_element_ahspec,
     perturbed,
     random_ahspec,
+    random_assignment,
     random_kernel,
     random_rows,
     random_state,
@@ -101,6 +106,13 @@ def test_decode_rejects_bad_namings():
     ):
         with pytest.raises(BadWireNaming):
             decode_names(names)
+
+
+@pytest.mark.parametrize("names", [["X[1]\n", "X[2]"], ["S[1,1]", "S[1,2]\n"]])
+def test_decode_refuses_a_name_with_a_trailing_newline(names):
+    # a second spelling of a position, which a "$"-anchored pattern would accept
+    with pytest.raises(BadWireNaming):
+        decode_names(names)
 
 
 @pytest.mark.parametrize("name", ["S[1000,1000]", "X[1000000]"])
@@ -395,10 +407,43 @@ def test_lemma_report_on_a_random_square_grid():
     assert max(rep.residuals) <= 1e-9
 
 
-def test_lemma_report_requires_a_square_grid():
+def test_lemma_report_on_rectangular_grids():
     rng = np.random.default_rng(97)
-    with pytest.raises(ShapeMismatch):
-        verify_ah_lemmas(random_ahspec(rng, 2, cols=3, hi=2))
+    for rows, cols in ((1, 4), (2, 3), (3, 2), (4, 1)):
+        rep = verify_ah_lemmas(random_ahspec(rng, rows, cols, hi=2))
+        assert max(rep.residuals) <= 1e-9, (rows, cols)
+
+
+def test_a_joint_that_breaks_one_entry_box_fails_only_the_entry_lemma(monkeypatch):
+    # eta[2,3] also reads R[1]: every entry still screens off given all tails, and the
+    # tails given T, but S[2,3] no longer does from R[1] given its own box's inputs
+    rng = np.random.default_rng(99)
+    m = expand_ah_model(2, 3)
+    mixed = make_model(
+        Box(b.name, b.in_wires + ("R[1]",), b.out_wires) if b.name == "eta[2,3]" else b
+        for b in m.boxes
+    )
+    p = recompose(mixed, random_assignment(rng, mixed, hi=2))
+    p = reindex(p, [w for b in m.boxes for w in b.out_wires])
+    monkeypatch.setattr(exchange, "build_ah_joint", lambda spec, expose_latents=False: p)
+    r1, r2, r3 = verify_ah_lemmas(random_ahspec(rng, 2, cols=3, hi=2)).residuals
+    assert r2 > 1e-9
+    assert r1 <= 1e-9 and r3 <= 1e-9
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (2, 3), (3, 1)])
+def test_the_grid_joint_is_its_models_recomposition(rows, cols):
+    spec = random_ahspec(np.random.default_rng(10 * rows + cols), rows, cols, hi=2)
+    p = build_ah_joint(spec, expose_latents=True)
+    m = expand_ah_model(rows, cols)
+    assert p.wire_names == tuple(w for b in m.boxes for w in b.out_wires)
+    kernel = {"alpha": spec.q, "beta": spec.f, "gamma": spec.g, "eta": spec.h}
+    asg = BoxAssignment(
+        dict(zip(p.wire_names, p.kernel.cod)),
+        {b.name: kernel[b.name.split("[")[0]] for b in m.boxes},
+    )
+    got = reindex(recompose(m, asg), p.wire_names)
+    assert np.abs(got.array - p.array).max() <= 1e-15  # the two multiply in different orders
 
 
 def test_perturbing_the_joint_breaks_the_entry_screening():

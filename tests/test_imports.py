@@ -11,8 +11,8 @@ import json
 import pytest
 
 import finstoch
-from finstoch import expand_ah_model, model_to_json
-from support import SRC, fresh
+from finstoch import ahspec_to_json, expand_ah_model, model_to_json
+from support import SRC, fresh, one_element_ahspec
 
 ROOT = SRC.parent
 PERFBENCH = ROOT / "perfbench"
@@ -74,6 +74,13 @@ def test_a_numeric_subcommand_loads_only_the_modules_it_runs(tmp_path):
     assert code == 0
     assert out == b"PASS cs-antecedent residual=0\nPASS cs-as-equal residual=0\n"
     assert finstoch_modules(loaded) == {"cli", "errors", "kernels", "serialization"}
+    # the grid's lemmas read its box list in exchange; its model, in models, stays unloaded
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(ahspec_to_json(one_element_ahspec(1))))
+    code, out, loaded = run_cli("verify-ah", str(spec))
+    assert code == 0
+    assert out.count(b"PASS ") == 3
+    assert finstoch_modules(loaded) == {"cli", "errors", "serialization", "exchange", "ci", "kernels"}
 
 
 def test_a_bare_import_loads_no_numpy():

@@ -31,6 +31,7 @@ from finstoch import (
     Kernel,
     build_ah_joint,
     ci_residual,
+    expand_ah_model,
     semigraphoid_closure,
     validate_derivation,
 )
@@ -42,7 +43,7 @@ T = "T"
 R1, R2 = "R[1]", "R[2]"
 C1, C2 = "C[1]", "C[2]"
 S11, S12, S21, S22 = "S[1,1]", "S[1,2]", "S[2,1]", "S[2,2]"
-SYMBOLS = (T, R1, R2, C1, C2, S11, S12, S21, S22)
+SYMBOLS = expand_ah_model(2).wires  # sorted; the closure sorts its ground set anyway
 TAILS = frozenset({T, R1, R2, C1, C2})
 
 
