@@ -256,6 +256,31 @@ def build_ah_joint(spec: AHSpec, expose_latents: bool = False) -> JointState:
     return _contract_boxes(boxes, expose_latents)
 
 
+def _ah_families(rows: int, cols: int) -> list[list[tuple]]:
+    """The grid's three lemma families of (parts, given), read from its box list's wiring.
+
+    Entries are the outputs no box reads, tails the other read outputs of
+    boxes with inputs.  The entries are jointly independent given their
+    boxes' inputs; each entry, given its box's, of the other tails and the
+    entries whose boxes share no tail with its own; the tails given theirs.
+    """
+    boxes = {out: set(ins) for _, _, ins, out in _ah_boxes(rows, cols)}
+    read = set().union(*boxes.values())
+    entries = {out: ins for out, ins in boxes.items() if out not in read}
+    tails = {out: ins for out, ins in boxes.items() if ins and out in read}
+
+    def jointly(outs):  # each output its own part, given every input of their boxes
+        return [([[out] for out in outs], set().union(*outs.values()))]
+
+    separated = []
+    for e, ins in entries.items():
+        unrelated = [t for t in tails if t not in ins]
+        unrelated += [o for o, i in entries.items() if not tails.keys() & ins & i]
+        if unrelated:
+            separated.append(([[e], unrelated], ins))
+    return [jointly(entries), separated, jointly(tails)]
+
+
 @dataclass(frozen=True)
 class AHLemmaReport:
     """The three screening-off facts of the grid construction."""
@@ -267,34 +292,12 @@ class AHLemmaReport:
 
 
 def verify_ah_lemmas(spec: AHSpec) -> AHLemmaReport:
-    """Check the three independence facts on the latent-exposed joint of any grid.
+    """Check the three families of ``_ah_families`` on the latent-exposed joint of any grid.
 
-    The families come from the grid's box list.  The tails are the
-    outputs of the f- and g-boxes, the entries those of the h-boxes.
-    The entries are jointly independent given all their boxes' inputs,
-    and the tails given all of theirs, the latent T.  Each entry is
-    independent, given its box's inputs, of the other tails and of the
-    entries whose boxes share no tail with its own.  The report's
-    booleans hold each residual to DEFAULT_ATOL.
+    The report's booleans hold each residual to DEFAULT_ATOL.
     """
     p = build_ah_joint(spec, expose_latents=True)
-    boxes = list(_ah_boxes(spec.rows, spec.cols, spec.q, spec.f, spec.g, spec.h))
-    tails = [(out, ins) for _, k, ins, out in boxes if k is spec.f or k is spec.g]
-    entries = [(out, ins) for _, k, ins, out in boxes if k is spec.h]
-
-    def jointly(outs):  # each output its own part, given every input of their boxes
-        return [([[out] for out, _ in outs], {w for _, ins in outs for w in ins})]
-
-    def entry_vs_unrelated():
-        names = {t for t, _ in tails}
-        for e, ins in entries:
-            own = names.intersection(ins)
-            unrelated = [t for t, _ in tails if t not in own]
-            unrelated += [o for o, i in entries if not own.intersection(i)]
-            if unrelated:
-                yield [[e], unrelated], ins
-
-    r1, r2, r3 = _worst_residuals(p, [jointly(entries), entry_vs_unrelated(), jointly(tails)])
+    r1, r2, r3 = _worst_residuals(p, _ah_families(spec.rows, spec.cols))
     return AHLemmaReport(
         entries_independent=r1 <= DEFAULT_ATOL,
         entry_separated=r2 <= DEFAULT_ATOL,

@@ -38,7 +38,7 @@ from finstoch import (
     state_to_json,
     timing_to_json,
 )
-from finstoch.cli import main
+from finstoch.cli import _wire_list, main
 from support import (
     carrier,
     fresh,
@@ -213,6 +213,20 @@ def test_check_ci_rejects_a_wire_two_flags_name(tmp_path, capsys, flags, first, 
     assert code == 2
     assert out == []
     assert err == f"error: {first} and {second} both name {wire!r}\n"
+
+
+def test_wire_list_keeps_commas_inside_brackets():
+    assert _wire_list("S[1,2],S[2,1]", "--x") == ["S[1,2]", "S[2,1]"]
+
+
+def test_check_ci_reads_bracketed_wire_lists(tmp_path, capsys):
+    spec = random_ahspec(np.random.default_rng(31), 2, hi=2)
+    state = write(tmp_path, "grid.json", state_to_json(build_ah_joint(spec, expose_latents=True)))
+    flags = ["--x", "S[1,2],S[2,1]", "--y", "S[1,1]", "--given", "T,R[1],R[2],C[1],C[2]"]
+    code, out, _ = run(capsys, ["check-ci", state, *flags])
+    assert code == 0
+    assert len(out) == 1
+    assert out[0].startswith("PASS ci S[1,2],S[2,1]⊥S[1,1]|C[1],C[2],R[1],R[2],T residual=")
 
 
 def test_check_markov_default_runs_three_checks(chain_files, capsys):
@@ -844,6 +858,24 @@ def test_replay_explicit_path_and_failures(tmp_path, capsys):
     code, out, _ = run(capsys, ["replay", bad])
     assert code == 1
     assert len(out) == 1 and out[0].startswith("FAIL step[0]")
+
+
+def test_replay_fails_a_decomposition_that_cites_two_premises(tmp_path, capsys):
+    doc = {
+        "symbols": ["x", "y", "z"],
+        "axioms": [{"left": ["x", "y"], "right": ["z"]}, {"left": ["y"], "right": ["z"]}],
+        # the conclusion follows from the first premise, but the rule takes one
+        "steps": [
+            {
+                "rule": "decomposition",
+                "premises": [0, 1],
+                "conclusion": {"left": ["x"], "right": ["z"]},
+            },
+        ],
+    }
+    code, out, _ = run(capsys, ["replay", write(tmp_path, "proof.json", doc)])
+    assert code == 1
+    assert out == ["FAIL step[0] decomposition x⊥z"]
 
 
 @pytest.mark.parametrize("rule", ["partition", "copy_axiom"])

@@ -414,6 +414,36 @@ def test_lemma_report_on_rectangular_grids():
         assert max(rep.residuals) <= 1e-9, (rows, cols)
 
 
+def _as_sets(family):
+    return {(frozenset(map(frozenset, parts)), frozenset(given)) for parts, given in family}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("cols", [1, 2, 3])
+def test_lemma_families_have_their_closed_form(rows, cols):
+    # written from indices, not from the box list: S[i,j] reads R[i], T and C[j]
+    rs, cs = range(1, rows + 1), range(1, cols + 1)
+    tails = [f"R[{i}]" for i in rs] + [f"C[{j}]" for j in cs]
+    separated = []
+    for i in rs:
+        for j in cs:
+            unrelated = (
+                {f"R[{a}]" for a in rs if a != i}
+                | {f"C[{b}]" for b in cs if b != j}
+                | {f"S[{a},{b}]" for a in rs for b in cs if a != i and b != j}
+            )
+            if unrelated:
+                separated.append(([[f"S[{i},{j}]"], unrelated], {f"R[{i}]", "T", f"C[{j}]"}))
+    want = [
+        [([[f"S[{i},{j}]"] for i in rs for j in cs], {"T", *tails})],
+        separated,
+        [([[t] for t in tails], {"T"})],
+    ]
+    got = exchange._ah_families(rows, cols)
+    assert [len(f) for f in got] == [len(f) for f in want]
+    assert [_as_sets(f) for f in got] == [_as_sets(f) for f in want]
+
+
 def test_a_joint_that_breaks_one_entry_box_fails_only_the_entry_lemma(monkeypatch):
     # eta[2,3] also reads R[1]: every entry still screens off given all tails, and the
     # tails given T, but S[2,3] no longer does from R[1] given its own box's inputs

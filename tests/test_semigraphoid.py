@@ -102,6 +102,31 @@ def test_contraction_rule_accepts_both_premise_orders():
     assert not RULES["contraction"]([p1], c)
 
 
+def test_contraction_needs_one_left_side_in_both_premises():
+    # A _||_ Y | Z and D _||_ Z would give D _||_ Y,Z if the first premise's left
+    # side were not checked; nothing there relates D to Y, so that does not follow
+    d = Derivation(
+        ("A", "D", "Y", "Z"),
+        (st(["A"], ["Y"], ["Z"]), st(["D"], ["Z"])),
+        (DerivationStep("contraction", (0, 1), st(["D"], ["Y", "Z"])),),
+    )
+    rep = validate_derivation(d)
+    assert not rep.ok and rep.failed_step == 0
+    assert "not an instance of contraction" in rep.message
+
+
+@pytest.mark.parametrize(
+    "rule, conclusion",
+    [("decomposition", st(["x"], ["z"])), ("weak_union", st(["x"], ["z"], ["y"]))],
+)
+def test_single_premise_rules_refuse_two_premises(rule, conclusion):
+    # the conclusion follows from the first premise alone, but the step cites two
+    p = st(["x", "y"], ["z"])
+    assert RULES[rule]([p], conclusion)
+    assert not RULES[rule]([p, p], conclusion)
+    assert not RULES[rule]([p, st(["y"], ["z"])], conclusion)
+
+
 SYMS = ("G", "R1", "R2", "S11", "S12", "S21", "S22")
 
 

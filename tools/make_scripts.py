@@ -5,6 +5,9 @@ grid: the shared latent T, row tails R[i], column tails C[j], and
 entries S[i,j].  A script is stated as axioms and goals only; its steps
 are the semigraphoid closure's derivation of the goals from the axioms,
 so a change to the closure that moves a derivation changes the files.
+The grid's lemma families come from its box list, as ``verify-ah``'s
+do, and ``ah_ordered_markov``'s goals from its model; only the peeling
+axioms of ``independence1``-``3`` are written here.
 Before writing, every derivation is validated step by step and every
 axiom and conclusion is checked numerically on random latent-exposed
 grid joints, so the bundled files are both sound proofs and true
@@ -31,10 +34,14 @@ from finstoch import (
     Kernel,
     build_ah_joint,
     ci_residual,
+    default_timing,
     expand_ah_model,
+    past,
     semigraphoid_closure,
     validate_derivation,
 )
+from finstoch.exchange import _ah_families
+from finstoch.markov import _screening_off
 from finstoch.serialization import derivation_to_json
 
 OUT_DIR = ROOT / "src" / "finstoch" / "scripts"
@@ -43,8 +50,7 @@ T = "T"
 R1, R2 = "R[1]", "R[2]"
 C1, C2 = "C[1]", "C[2]"
 S11, S12, S21, S22 = "S[1,1]", "S[1,2]", "S[2,1]", "S[2,2]"
-SYMBOLS = expand_ah_model(2).wires  # sorted; the closure sorts its ground set anyway
-TAILS = frozenset({T, R1, R2, C1, C2})
+MODEL = expand_ah_model(2)  # its wires are sorted; the closure sorts its ground set anyway
 
 
 def st(left, right, given=()) -> CIStatement:
@@ -52,32 +58,21 @@ def st(left, right, given=()) -> CIStatement:
     return CIStatement(as_set(left), as_set(right), as_set(given))
 
 
-# each tail is independent of the other three tails given the latent
-TAIL_SPLITS = tuple(st(x, TAILS - {x, T}, T) for x in (R1, R2, C1, C2))
-
-
-def ordered_markov() -> tuple[tuple[CIStatement, ...], tuple[CIStatement, ...]]:
-    """The ordered Markov conditions of the expanded 2x2 grid model.
-
-    The axioms are the conclusions of the three independence scripts:
-    the tail splits (which already are the conditions for the tail
-    boxes), each entry against the other entries given every tail, and
-    each entry against its unrelated tails and entry given its own.  The
-    goal for each entry box adds the other entries to the latter.
-    """
-    entries = {(i, j): f"S[{i},{j}]" for i in (1, 2) for j in (1, 2)}
-    own = {(i, j): {f"R[{i}]", f"C[{j}]", T} for i, j in entries}
-    others = {k: set(entries.values()) - {e} for k, e in entries.items()}
-    unrelated = {
-        (i, j): {f"R[{3 - i}]", f"C[{3 - j}]", entries[3 - i, 3 - j]} for i, j in entries
-    }
-    axioms = (
-        TAIL_SPLITS
-        + tuple(st(e, others[k], TAILS) for k, e in entries.items())
-        + tuple(st(e, unrelated[k], own[k]) for k, e in entries.items())
+def binary(family) -> tuple[CIStatement, ...]:
+    """Each part of each member against the rest; a two-part member's second is a mirror."""
+    return tuple(
+        st(x, set().union(*(y for y in parts if y is not x)), given)
+        for parts, given in family
+        for x in (parts[:1] if len(parts) == 2 else parts)
     )
-    return axioms, tuple(st(e, unrelated[k] | others[k], own[k]) for k, e in entries.items())
 
+
+# each entry against the other entries given every tail; each entry against its
+# unrelated tails and entry given its own; each tail against the others given T
+ENTRY_SPLITS, ENTRY_SEPARATIONS, TAIL_SPLITS = map(binary, _ah_families(2, 2))
+# per box of the model: its outputs against the earlier wires, given its inputs
+ORDERED_MARKOV = binary(_screening_off(MODEL, past(MODEL, default_timing(MODEL))))
+SPLIT, SEPARATED = ENTRY_SPLITS[0], ENTRY_SEPARATIONS[0]
 
 # Each script is its axioms, then the goals the closure derives from them.
 SCRIPTS = {
@@ -89,24 +84,25 @@ SCRIPTS = {
             st(S21, {R1, C2, S11, S12}, {R2, T, C1}),
             st(S22, {R1, C1, S11, S12, S21}, {R2, T, C2}),
         ),
-        (st(S11, {S12, S21, S22}, TAILS),),
+        (SPLIT,),
     ),
-    # one entry is independent of the unrelated row, column and entry given its
-    # own tails, from axioms that peel the unrelated tails off one at a time
+    # one entry is independent of the unrelated row, column and entry given its own
+    # tails, and so of that entry, from axioms that peel the unrelated tails off one at a time
     "independence2": (
         (
             st({S11, R1, C1}, R2, T),
             st({S11, R1, C1}, C2, {T, R2}),
             st({S11, R1, C1}, S22, {T, R2, C2}),
         ),
-        (st(S11, {R2, C2, S22}, {T, R1, C1}), st(S11, S22, {T, R1, C1})),
+        (SEPARATED, st(SEPARATED.left, SEPARATED.right & SPLIT.right, SEPARATED.given)),
     ),
     # the tail splits, from the row/column split and the two within-kind ones
     "independence3": (
         (st({R1, R2}, {C1, C2}, T), st(R1, R2, T), st(C1, C2, T)),
         TAIL_SPLITS,
     ),
-    "ah_ordered_markov": ordered_markov(),
+    # the model's ordered Markov statements from the lemma families; its tail boxes' are axioms
+    "ah_ordered_markov": (TAIL_SPLITS + ENTRY_SPLITS + ENTRY_SEPARATIONS, ORDERED_MARKOV),
 }
 
 
@@ -138,7 +134,7 @@ def main() -> None:
     rng = np.random.default_rng(20250823)
     joints = [random_grid_joint(rng) for _ in range(5)]
     for name, (axioms, goals) in SCRIPTS.items():
-        derivation = semigraphoid_closure(axioms, SYMBOLS).derivation(*goals)
+        derivation = semigraphoid_closure(axioms, MODEL.wires).derivation(*goals)
         report = validate_derivation(derivation)
         if not report:
             raise SystemExit(f"{name}: {report.message}")
